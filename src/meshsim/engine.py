@@ -8,12 +8,13 @@ one master seed, so a run is fully reproducible from (config, seed).
 
 import heapq
 import random
-from statistics import NormalDist
+# normal_quantile(p, mu, sigma) is the routine NormalDist.inv_cdf calls once
+# it has checked 0 < p < 1; hot loops that inline draw_normal call it directly
+from statistics import _normal_dist_inv_cdf as normal_quantile
 
 from .errors import ConfigError
 
 _MASK64 = (1 << 64) - 1
-_STD_NORMAL = NormalDist()
 
 
 def _splitmix64(x: int) -> int:
@@ -37,7 +38,7 @@ class RandomSource:
 
     Streams derived with different labels are independent: drawing from one
     never perturbs another.  draw_uniform and draw_normal consume exactly
-    one generator step each.
+    one generator step each; ``random`` is that step itself.
     """
 
     __slots__ = ("seed", "_rng")
@@ -49,6 +50,11 @@ class RandomSource:
     def stream(self, label: str) -> "RandomSource":
         """Derive an independent child stream; same (seed, label) -> same stream."""
         return RandomSource(_splitmix64(self.seed ^ _label_hash(label)))
+
+    @property
+    def random(self):
+        """The bound generator step: each call returns a float in [0, 1)."""
+        return self._rng.random
 
     def draw_uniform(self, lo: float, hi: float) -> float:
         if lo > hi:
@@ -63,7 +69,7 @@ class RandomSource:
             return mean
         if u <= 0.0:
             u = 5e-324
-        return mean + stddev * _STD_NORMAL.inv_cdf(u)
+        return mean + stddev * normal_quantile(u, 0.0, 1.0)
 
     def sample(self, population, k: int) -> list:
         return self._rng.sample(population, k)

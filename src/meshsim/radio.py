@@ -7,6 +7,14 @@ order: the receiver's scanner tuned to the frame's channel for the whole
 frame (and not transmitting), received power at or above the PHY
 sensitivity, and a capture margin over every overlapping frame on the same
 channel.  At most one frame of an overlap group can qualify.
+Medium._resolve_all is the one place these rules are decided.
+
+Shadowing is drawn lazily, once per (frame, receiver), from the receiver's
+own channel stream, and cached on the frame.  The draws of one stream are
+therefore made in resolution order: for each resolved frame, in candidate
+order, the frame's own RSSI and then, until one fails capture, each
+overlapping frame's RSSI not yet cached.  Every digest depends on that
+order; a change to the loop must keep it, or alter results on purpose.
 
 Wire-format headers of the mesh stack are folded into the per-PHY frame
 overhead, so a frame's pdu_octets is just its payload size.
@@ -17,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .engine import Engine, RandomSource
+from .engine import Engine, RandomSource, normal_quantile
 from .errors import ConfigError
 
 PRIMARY_CHANNELS = (37, 38, 39)
@@ -109,7 +117,7 @@ class ChannelFrame:
 
 
 class LinkModel:
-    """Pairwise propagation state: symmetric loss matrix plus per-frame shadowing."""
+    """Pairwise propagation state: symmetric loss rows plus per-frame shadowing."""
 
     def __init__(self, loss: dict, *, shadowing_sigma_db: float = 4.0,
                  capture_db: float = 10.0,
@@ -121,16 +129,13 @@ class LinkModel:
         self.shadowing_sigma_db = shadowing_sigma_db
         self.capture_db = capture_db
         self.sensitivity = dict(sensitivity_dbm or {PHY_1M.name: -90.0, PHY_2M.name: -85.0})
-        self._loss = {}
+        self.rows: dict = {}           # rows[tx][rx] -> loss in dB
         for (a, b), v in loss.items():
             other = loss.get((b, a))
             if other is not None and other != v:
                 raise ConfigError(f"asymmetric loss for pair ({a}, {b}): {v} vs {other}")
-            self._loss[(a, b)] = v
-            self._loss[(b, a)] = v
-
-    def loss_db(self, a, b) -> float:
-        return self._loss[(a, b)]
+            self.rows.setdefault(a, {})[b] = v
+            self.rows.setdefault(b, {})[a] = v
 
     def sensitivity_dbm(self, phy: PhyMode) -> float:
         return self.sensitivity[phy.name]
@@ -139,12 +144,13 @@ class LinkModel:
         """Receivers whose mean RSSI can plausibly clear sensitivity (6-sigma slack)."""
         floor = min(self.sensitivity.values())
         slack = 6.0 * self.shadowing_sigma_db
+        row = self.rows.get(tx, {})
         out = []
         for rx in candidates:
             if rx == tx:
                 continue
-            if max_power_dbm - self._loss[(tx, rx)] >= floor - slack:
-                out.append((rx, self._loss[(tx, rx)]))
+            if max_power_dbm - row[rx] >= floor - slack:
+                out.append((rx, row[rx]))
         return out
 
 
@@ -162,6 +168,14 @@ class _Receiver:
         self.on_rssi = on_rssi
 
 
+def _scanner_catches(scan_interval_us: int, scan_window_us: int,
+                     frame: ChannelFrame) -> bool:
+    """True when a scanner with this config is tuned to the frame's channel for all of it."""
+    k = frame.start // scan_interval_us
+    return (37 + k % 3 == frame.channel
+            and frame.end <= k * scan_interval_us + scan_window_us)
+
+
 class Medium:
     """Channel occupancy registry plus the reception-resolution rules."""
 
@@ -172,7 +186,6 @@ class Medium:
         self._channel_frames: dict[int, deque] = {c: deque() for c in ALL_CHANNELS}
         self._tx_intervals: dict = {}
         self._candidates: dict = {}
-        self._max_power_dbm = 0.0
         self._blackouts: list = []
         self._uniform_scan: tuple[int, int] | None = None
         self.outcome_counts = {o: 0 for o in Outcome}
@@ -186,11 +199,19 @@ class Medium:
         self._tx_intervals[node_id] = deque()
 
     def finalize(self, max_power_dbm: float) -> None:
-        """Precompute per-transmitter candidate receiver lists."""
-        self._max_power_dbm = max_power_dbm
+        """Precompute per-transmitter candidate tuples of (rx, loss, receiver state).
+
+        A receiver's state is one tuple shared by every transmitter's
+        candidates: its _Receiver, its tx-interval deque and the bound
+        generator step of its channel stream.
+        """
+        state = {rx: (r, self._tx_intervals[rx], r.chan_rng.random)
+                 for rx, r in self._receivers.items()}
         ids = list(self._receivers)
         for tx in ids:
-            self._candidates[tx] = self.link.nodes_heard_from(tx, ids, max_power_dbm)
+            self._candidates[tx] = tuple(
+                (rx, loss, state[rx])
+                for rx, loss in self.link.nodes_heard_from(tx, ids, max_power_dbm))
         scans = {(r.scan_interval_us, r.scan_window_us)
                  for r in self._receivers.values()}
         # a shared scan config lets begin_transmission test the channel once per frame
@@ -217,9 +238,9 @@ class Medium:
         now = self.engine.now
         intervals = self._tx_intervals.get(frame.transmitter)
         if intervals is not None:  # virtual interferers are not registered nodes
-            assert not intervals or frame.start >= intervals[-1][1], (
-                f"node {frame.transmitter!r} already transmitting at t={frame.start}"
-            )
+            if intervals and frame.start < intervals[-1][1]:
+                raise AssertionError(
+                    f"node {frame.transmitter!r} already transmitting at t={frame.start}")
             intervals.append((frame.start, frame.end))
             while intervals and intervals[0][1] + _PRUNE_LAG_US < now:
                 intervals.popleft()
@@ -229,67 +250,92 @@ class Medium:
             reg.popleft()
         if frame.kind is FrameKind.NOISE:
             return
-        if self._uniform_scan is not None and frame.kind is not FrameKind.AUX:
-            interval, window = self._uniform_scan
-            k = frame.start // interval
-            if 37 + k % 3 != frame.channel or frame.end > k * interval + window:
-                self.outcome_counts[Outcome.NOT_LISTENING] += \
-                    len(self._candidates[frame.transmitter])
-                return
+        if self._uniform_scan is not None and frame.kind is not FrameKind.AUX \
+                and not _scanner_catches(*self._uniform_scan, frame):
+            self.outcome_counts[Outcome.NOT_LISTENING] += \
+                len(self._candidates[frame.transmitter])
+            return
         self.engine.schedule(frame.end, self._resolve_all, frame)
 
     def _resolve_all(self, frame: ChannelFrame) -> None:
-        counts = self.outcome_counts
+        """Decide the frame's outcome at every candidate receiver.
+
+        A receiver needs, in order: its scanner on the frame's channel for
+        the whole frame (AUX frames: membership of frame.eligible instead),
+        no transmission of its own during the frame, RSSI at or above
+        sensitivity, and a capture margin over every overlapping frame.
+        """
         candidates = self._candidates[frame.transmitter]
         if frame.kind is FrameKind.AUX:
             pool = frame.eligible or ()
-            candidate_ids = [rx for rx, _ in candidates if rx in pool]
-            known_listening = True      # eligibility replaces scanning
+            candidates = [c for c in candidates if c[0] in pool]
+            check_scan = False      # eligibility replaces scanning
         else:
-            candidate_ids = [rx for rx, _ in candidates]
-            # begin_transmission already dropped the frames that a shared
-            # scan config cannot catch
-            known_listening = self._uniform_scan is not None
-        overlaps = [o for o in self._channel_frames[frame.channel]
-                    if o is not frame
-                    and o.start < frame.end and frame.start < o.end]
-        receivers = self._receivers
-        tx_intervals = self._tx_intervals
-        listening = self._listening
-        rssi_at = self.rssi_at
-        sens = self.link.sensitivity_dbm(frame.phy)
-        capture = self.link.capture_db
-        primary = frame.channel >= 37
+            # a shared scan config was already checked by begin_transmission
+            check_scan = self._uniform_scan is None
         start, end = frame.start, frame.end
+        overlaps = [o for o in self._channel_frames[frame.channel]
+                    if o is not frame and o.start < end and start < o.end]
+        link = self.link
+        rows = link.rows
+        sigma = link.shadowing_sigma_db
+        sens = link.sensitivity_dbm(frame.phy)
+        capture = link.capture_db
+        blackouts = self._blackouts
+        tx, channel, power = frame.transmitter, frame.channel, frame.power_dbm
+        cache = frame.rssi_cache
+        primary = channel >= 37
+        noise = FrameKind.NOISE
         n_nl = n_bs = n_col = n_del = 0
-        for rx in candidate_ids:
-            receiver = receivers[rx]
-            if not known_listening and not listening(receiver, frame):
+        for rx, loss, (receiver, intervals, rand) in candidates:
+            if check_scan and not _scanner_catches(
+                    receiver.scan_interval_us, receiver.scan_window_us, frame):
                 n_nl += 1
                 continue
-            for s, e in tx_intervals[rx]:
+            for s, e in intervals:
                 if s < end and start < e:
+                    n_nl += 1      # half duplex: receiver was transmitting
                     break
             else:
-                rssi = rssi_at(frame, rx)
+                rssi = cache.get(rx)
+                if rssi is None:
+                    u = rand()
+                    if u <= 0.0:
+                        u = 5e-324
+                    rssi = power - loss + (0.0 + sigma * normal_quantile(u, 0.0, 1.0))
+                    if blackouts and self._blacked_out(tx, rx, start):
+                        rssi = -math.inf
+                    cache[rx] = rssi
                 if rssi < sens:
                     n_bs += 1
                     continue
+                captured = True
                 for other in overlaps:
-                    if rssi - rssi_at(other, rx) < capture:
+                    other_rssi = other.rssi_cache.get(rx)
+                    if other_rssi is None:
+                        if other.kind is noise:
+                            other_rssi = other.power_dbm
+                        else:
+                            u = rand()
+                            if u <= 0.0:
+                                u = 5e-324
+                            other_rssi = (other.power_dbm - rows[other.transmitter][rx]
+                                          + (0.0 + sigma * normal_quantile(u, 0.0, 1.0)))
+                        if blackouts and self._blacked_out(other.transmitter, rx,
+                                                           other.start):
+                            other_rssi = -math.inf
+                        other.rssi_cache[rx] = other_rssi
+                    if rssi - other_rssi < capture:
                         captured = False
                         break
-                else:
-                    captured = True
                 if primary and receiver.on_rssi is not None:
-                    receiver.on_rssi(frame.channel, rssi)
+                    receiver.on_rssi(channel, rssi)
                 if captured:
                     n_del += 1
                     receiver.on_frame(frame, rssi)
                 else:
                     n_col += 1
-                continue
-            n_nl += 1      # half duplex: receiver was transmitting
+        counts = self.outcome_counts
         if n_nl:
             counts[Outcome.NOT_LISTENING] += n_nl
         if n_bs:
@@ -298,65 +344,3 @@ class Medium:
             counts[Outcome.COLLISION] += n_col
         if n_del:
             counts[Outcome.DELIVERED] += n_del
-
-    def _dispatch(self, rx, frame, out, rssi) -> None:
-        receiver = self._receivers[rx]
-        if rssi is not None and frame.channel >= 37 and receiver.on_rssi is not None:
-            receiver.on_rssi(frame.channel, rssi)
-        if out is Outcome.DELIVERED:
-            receiver.on_frame(frame, rssi)
-
-    def _listening(self, receiver: _Receiver, frame: ChannelFrame) -> bool:
-        interval = receiver.scan_interval_us
-        k = frame.start // interval
-        if 37 + (k % 3) != frame.channel:
-            return False
-        return frame.end <= k * interval + receiver.scan_window_us
-
-    def _transmitting_during(self, node_id, start, end) -> bool:
-        for s, e in self._tx_intervals[node_id]:
-            if s < end and start < e:
-                return True
-        return False
-
-    def rssi_at(self, frame: ChannelFrame, rx) -> float:
-        """Per-(frame, receiver) received power; the shadow draw is cached."""
-        cached = frame.rssi_cache.get(rx)
-        if cached is not None:
-            return cached
-        if frame.kind is FrameKind.NOISE:
-            rssi = frame.power_dbm
-        else:
-            shadow = self._receivers[rx].chan_rng.draw_normal(0.0, self.link.shadowing_sigma_db)
-            rssi = frame.power_dbm - self.link.loss_db(frame.transmitter, rx) + shadow
-        if self._blackouts and self._blacked_out(frame.transmitter, rx, frame.start):
-            rssi = -math.inf
-        frame.rssi_cache[rx] = rssi
-        return rssi
-
-    def resolve_reception(self, rx, frame: ChannelFrame, overlaps=None):
-        """Apply the reception rules for one receiver; returns (Outcome, rssi|None).
-
-        rssi is reported whenever the receiver was listening and the frame
-        cleared sensitivity, including frames that then lost on capture.
-        """
-        receiver = self._receivers[rx]
-        if frame.kind is FrameKind.AUX:
-            if frame.eligible is None or rx not in frame.eligible:
-                return Outcome.NOT_LISTENING, None
-        elif not self._listening(receiver, frame):
-            return Outcome.NOT_LISTENING, None
-        if self._transmitting_during(rx, frame.start, frame.end):
-            return Outcome.NOT_LISTENING, None
-        rssi = self.rssi_at(frame, rx)
-        if rssi < self.link.sensitivity_dbm(frame.phy):
-            return Outcome.BELOW_SENSITIVITY, None
-        if overlaps is None:
-            overlaps = [o for o in self._channel_frames[frame.channel]
-                        if o is not frame
-                        and o.start < frame.end and frame.start < o.end]
-        capture = self.link.capture_db
-        for other in overlaps:
-            if rssi - self.rssi_at(other, rx) < capture:
-                return Outcome.COLLISION, rssi
-        return Outcome.DELIVERED, rssi

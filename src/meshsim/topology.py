@@ -16,8 +16,10 @@ pair involving an abstract node must be covered by a ``loss`` line.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from importlib.resources import files
+from types import MappingProxyType
 
 from .errors import ConfigError
 from .radio import path_loss_db
@@ -58,6 +60,7 @@ class Topology:
         self.nodes: dict[str, TopologyNode] = dict(nodes)
         self.floor_attenuation_db = float(floor_attenuation_db)
         self.overrides: dict[tuple[str, str], float] = dict(overrides or {})
+        self._adjacency: dict[float, dict[str, tuple[str, ...]]] = {}
 
     @property
     def node_ids(self) -> tuple[str, ...]:
@@ -88,38 +91,28 @@ class Topology:
                 out[(b, a)] = v
         return out
 
-    def adjacency(self, tx_power_dbm: float = 0.0) -> dict[str, tuple[str, ...]]:
-        limit = tx_power_dbm - (EDGE_SENSITIVITY_DBM + EDGE_MARGIN_DB)
-        ids = self.node_ids
-        neigh: dict[str, list[str]] = {n: [] for n in ids}
-        for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                if self.path_loss_db(a, b) <= limit:
-                    neigh[a].append(b)
-                    neigh[b].append(a)
-        return {n: tuple(v) for n, v in neigh.items()}
+    def adjacency(self, tx_power_dbm: float = 0.0) -> Mapping[str, tuple[str, ...]]:
+        """Hop-graph neighbours of every node; built once per power, read-only."""
+        neigh = self._adjacency.get(tx_power_dbm)
+        if neigh is None:
+            limit = tx_power_dbm - (EDGE_SENSITIVITY_DBM + EDGE_MARGIN_DB)
+            ids = self.node_ids
+            lists: dict[str, list[str]] = {n: [] for n in ids}
+            for i, a in enumerate(ids):
+                for b in ids[i + 1:]:
+                    if self.path_loss_db(a, b) <= limit:
+                        lists[a].append(b)
+                        lists[b].append(a)
+            neigh = self._adjacency[tx_power_dbm] = {
+                n: tuple(v) for n, v in lists.items()}
+        return MappingProxyType(neigh)
 
     def hop_distance(self, a: str, b: str, tx_power_dbm: float = 0.0) -> float:
         """Shortest hop count on the connectivity graph; UNREACHABLE if none."""
         for nid in (a, b):
             if nid not in self.nodes:
                 raise ConfigError(f"unknown node {nid!r}")
-        if a == b:
-            return 0
-        adj = self.adjacency(tx_power_dbm)
-        dist = {a: 0}
-        frontier = [a]
-        while frontier:
-            nxt: list[str] = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        if v == b:
-                            return dist[v]
-                        nxt.append(v)
-            frontier = nxt
-        return UNREACHABLE
+        return _hops_from(self.adjacency(tx_power_dbm), a).get(b, UNREACHABLE)
 
     def eligible_pairs(self, min_hops: int = 2,
                        tx_power_dbm: float = 0.0) -> tuple[tuple[str, str], ...]:
@@ -127,21 +120,35 @@ class Topology:
         adj = self.adjacency(tx_power_dbm)
         out: list[tuple[str, str]] = []
         for a in self.node_ids:
-            dist = {a: 0}
-            frontier = [a]
-            while frontier:
-                nxt: list[str] = []
-                for u in frontier:
-                    for v in adj[u]:
-                        if v not in dist:
-                            dist[v] = dist[u] + 1
-                            nxt.append(v)
-                frontier = nxt
+            dist = _hops_from(adj, a)
             for b in self.node_ids:
                 d = dist.get(b)
                 if b != a and d is not None and d >= min_hops:
                     out.append((a, b))
         return tuple(out)
+
+
+def _hops_from(adj: Mapping[str, tuple[str, ...]], src: str,
+               forwarding: set[str] | None = None) -> dict[str, int]:
+    """Breadth-first hop counts from src to every node a flood reaches.
+
+    With `forwarding` given, only src and its members pass the flood on;
+    other nodes are reached but forward nothing.
+    """
+    dist = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt: list[str] = []
+        for u in frontier:
+            if forwarding is not None and u != src and u not in forwarding:
+                continue
+            d = dist[u] + 1
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = d
+                    nxt.append(v)
+        frontier = nxt
+    return dist
 
 
 def flood_reaches_all(topology: Topology, relays: set[str],
@@ -153,24 +160,8 @@ def flood_reaches_all(topology: Topology, relays: set[str],
     every node forwarding do not count against the subset.
     """
     adj = topology.adjacency(tx_power_dbm)
-
-    def coverage(src: str, forwarding: set[str] | None) -> set[str]:
-        reached = {src}
-        frontier = [src]
-        while frontier:
-            nxt: list[str] = []
-            for u in frontier:
-                if u != src and forwarding is not None and u not in forwarding:
-                    continue
-                for v in adj[u]:
-                    if v not in reached:
-                        reached.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        return reached
-
     for src in topology.node_ids:
-        if coverage(src, relays) != coverage(src, None):
+        if _hops_from(adj, src, relays).keys() != _hops_from(adj, src).keys():
             return False
     return True
 

@@ -177,6 +177,26 @@ def test_duty_cycled_window_idles_late_in_interval():
     assert starts == [500]
 
 
+def test_scan_config_checked_per_receiver():
+    # b scans continuously; c listens for 2 ms of every 10 ms interval
+    eng = Engine()
+    med = Medium(eng, LinkModel(
+        {("a", "b"): 60.0, ("a", "c"): 60.0, ("b", "c"): 60.0}, shadowing_sigma_db=0.0))
+    delivered = []
+    root = RandomSource(3)
+    for n, interval, window in (("a", CONTINUOUS, CONTINUOUS),
+                                ("b", CONTINUOUS, CONTINUOUS),
+                                ("c", 10_000, 2_000)):
+        med.register(n, interval, window, root.stream(n),
+                     lambda frame, rssi, n=n: delivered.append((n, frame.start)))
+    med.finalize(0.0)
+    med.begin_transmission(ChannelFrame("a", 37, PHY_1M, 0.0, 500, 11))
+    med.begin_transmission(ChannelFrame("a", 37, PHY_1M, 0.0, 5_000, 11))
+    eng.run_until_idle()
+    assert sorted(delivered) == [("b", 500), ("b", 5_000), ("c", 500)]
+    assert med.outcome_counts[Outcome.NOT_LISTENING] == 1
+
+
 def test_noise_frame_interferes_but_never_delivers():
     eng, med, delivered = make_medium({("a", "b"): 60.0})
     noise = ChannelFrame("ext", 37, PHY_1M, -55.0, 0, 39, kind=FrameKind.NOISE)
@@ -209,7 +229,8 @@ def test_shadowing_draws_are_per_frame_and_reproducible():
 
 # --------------------------------------------------------------------------
 # Brute-force oracle: an independent spelling of the reception rules,
-# checked against resolve_reception over enumerated micro-instances.
+# checked against the medium's live resolution over enumerated
+# micro-instances.
 # --------------------------------------------------------------------------
 
 SENS = -90.0
@@ -254,7 +275,28 @@ def oracle(nodes, frames, loss):
     return out
 
 
+def expected(nodes, frames, loss):
+    """The oracle's (delivered pairs, collided pairs, outcome totals).
+
+    The medium gives no outcome to a receiver that 0 dBm cannot bring to
+    sensitivity (no shadowing here), so those pairs stay out of the totals.
+    """
+    outcomes = oracle(nodes, frames, loss)
+    counts = {o: 0 for o in Outcome}
+    for (rx, i), o in outcomes.items():
+        if 0.0 - loss[frozenset((frames[i][0], rx))] >= SENS:
+            counts[o] += 1
+    return ({k for k, o in outcomes.items() if o is Outcome.DELIVERED},
+            {k for k, o in outcomes.items() if o is Outcome.COLLISION},
+            counts)
+
+
 def run_impl(nodes, frames, loss):
+    """Air the frames through a Medium; same summary as expected().
+
+    A pair is delivered when on_frame fires and collided when on_rssi fires
+    without on_frame (the frame cleared sensitivity but lost on capture).
+    """
     pair_loss = {}
     for key, v in loss.items():
         a, b = sorted(key)
@@ -262,24 +304,28 @@ def run_impl(nodes, frames, loss):
     eng = Engine()
     link = LinkModel(pair_loss, shadowing_sigma_db=0.0, capture_db=CAPTURE)
     med = Medium(eng, link)
+    index = {}                  # ChannelFrame -> its position in `frames`
+    resolving = []              # frames in the order the medium resolves them
+    delivered, heard = set(), set()
     root = RandomSource(5)
     for nd in nodes:
-        med.register(nd, CONTINUOUS, CONTINUOUS, root.stream(nd), lambda f, r: None)
+        med.register(nd, CONTINUOUS, CONTINUOUS, root.stream(nd),
+                     lambda f, r, nd=nd: delivered.add((nd, index[f])),
+                     lambda ch, r, nd=nd: heard.add((nd, index[resolving[-1]])))
     med.finalize(0.0)
-    objs = []
-    for tx, ch, p, s, n in sorted(frames, key=lambda f: f[3]):
-        objs.append((frames.index((tx, ch, p, s, n)), ChannelFrame(tx, ch, PHY_1M, p, s, n)))
-    for _, fr in objs:
+    resolve = med._resolve_all
+
+    def tracked(frame):
+        resolving.append(frame)
+        resolve(frame)
+
+    med._resolve_all = tracked
+    for i, (tx, ch, p, s, n) in enumerate(frames):
+        fr = ChannelFrame(tx, ch, PHY_1M, p, s, n)
+        index[fr] = i
         eng.schedule(fr.start, med.begin_transmission, fr)
     eng.run_until_idle()
-    got = {}
-    for i, fr in objs:
-        for rx in nodes:
-            if rx == fr.transmitter:
-                continue
-            outcome, _ = med.resolve_reception(rx, fr)
-            got[(rx, i)] = outcome
-    return got
+    return delivered, heard - delivered, dict(med.outcome_counts)
 
 
 def test_reception_oracle_two_frames():
@@ -296,7 +342,7 @@ def test_reception_oracle_two_frames():
             for s2 in range(0, 1000, 100):
                 for p1, p2 in itertools.product((0.0, -9.0), repeat=2):
                     frames = [("a", 37, p1, 0, 11), (tx2, 37, p2, s2, 11)]
-                    assert run_impl(nodes, frames, loss) == oracle(nodes, frames, loss)
+                    assert run_impl(nodes, frames, loss) == expected(nodes, frames, loss)
                     checked += 1
     assert checked == 27 * 2 * 10 * 4
 
@@ -316,4 +362,4 @@ def test_reception_oracle_three_frames():
                 ("b", 37, -9.0, s2, 11),
                 ("c", 37, 0.0, s3, 11),
             ]
-            assert run_impl(nodes, frames, loss) == oracle(nodes, frames, loss)
+            assert run_impl(nodes, frames, loss) == expected(nodes, frames, loss)

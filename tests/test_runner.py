@@ -1,0 +1,40 @@
+"""Experiment orchestration: multi-seed fan-out, arm comparison, the event cap."""
+
+import pytest
+
+from meshsim import runner
+from meshsim.errors import ConfigError
+from meshsim.runner import compare_runs, run_experiment, run_many
+from meshsim.scenario import load_scenario
+from meshsim.topology import bundled_data_path, load_bundled_topology
+
+
+def bundled(scenario: str, *overrides):
+    return load_scenario(bundled_data_path(scenario).read_text(encoding="utf-8"),
+                         list(overrides))
+
+
+def test_run_many_same_results_in_process_and_in_pool():
+    topo = load_bundled_topology("office_single_floor_8.topo")
+    cfg = bundled("single_hop_group.scn", "iterations=3")
+    serial = run_many(topo, cfg, [4, 9], jobs=1)
+    pooled = run_many(topo, cfg, [4, 9], jobs=2)
+    assert list(serial) == list(pooled) == [4, 9]
+    assert serial == pooled
+
+
+def test_compare_runs_rejects_arms_with_different_workloads():
+    topo = load_bundled_topology("office_single_floor_8.topo")
+    seeds = range(1, 6)     # compare needs five seeds per arm
+    short = run_many(topo, bundled("single_hop_group.scn", "iterations=2"), seeds, jobs=1)
+    longer = run_many(topo, bundled("single_hop_group.scn", "iterations=3"), seeds, jobs=1)
+    assert compare_runs(short, short).n_seeds == (5, 5)
+    with pytest.raises(ConfigError, match="not comparable"):
+        compare_runs(short, longer)
+
+
+def test_event_cap_raises(monkeypatch):
+    monkeypatch.setattr(runner, "MAX_EVENTS_PER_RUN", 50)
+    with pytest.raises(RuntimeError, match="50-event cap"):
+        run_experiment(load_bundled_topology("office_single_floor_8.topo"),
+                       bundled("single_hop_group.scn", "iterations=3"), 1)
