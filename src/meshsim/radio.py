@@ -21,7 +21,7 @@ overhead, so a frame's pdu_octets is just its payload size.
 """
 
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -129,13 +129,14 @@ class LinkModel:
         self.shadowing_sigma_db = shadowing_sigma_db
         self.capture_db = capture_db
         self.sensitivity = dict(sensitivity_dbm or {PHY_1M.name: -90.0, PHY_2M.name: -85.0})
-        self.rows: dict = {}           # rows[tx][rx] -> loss in dB
+        rows = defaultdict(dict)
         for (a, b), v in loss.items():
             other = loss.get((b, a))
             if other is not None and other != v:
                 raise ConfigError(f"asymmetric loss for pair ({a}, {b}): {v} vs {other}")
-            self.rows.setdefault(a, {})[b] = v
-            self.rows.setdefault(b, {})[a] = v
+            rows[a][b] = v
+            rows[b][a] = v
+        self.rows = dict(rows)         # rows[tx][rx] -> loss in dB
 
     def sensitivity_dbm(self, phy: PhyMode) -> float:
         return self.sensitivity[phy.name]
