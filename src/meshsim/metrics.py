@@ -49,14 +49,13 @@ class MessageRecord:
 
 
 class _Msg:
-    __slots__ = ("source", "destinations", "send_time", "size", "deliveries",
+    __slots__ = ("source", "destinations", "send_time", "deliveries",
                  "acks", "retx", "frames", "flagged")
 
-    def __init__(self, source, destinations, send_time, size):
+    def __init__(self, source, destinations, send_time):
         self.source = source
         self.destinations = destinations
         self.send_time = send_time
-        self.size = size
         self.deliveries = {}
         self.acks = {}
         self.retx = 0
@@ -73,10 +72,10 @@ class Collector:
         self.frames_sent = 0
         self.power_sum_dbm = 0.0
 
-    def on_send(self, app_msg_id, source, destinations, t_us, size) -> None:
+    def on_send(self, app_msg_id, source, destinations, t_us) -> None:
         if app_msg_id in self._msgs:
             raise ConfigError(f"duplicate message id {app_msg_id}")
-        self._msgs[app_msg_id] = _Msg(source, tuple(destinations), t_us, size)
+        self._msgs[app_msg_id] = _Msg(source, tuple(destinations), t_us)
 
     def on_delivery(self, app_msg_id, node_id, t_us) -> None:
         self._msgs[app_msg_id].deliveries.setdefault(node_id, t_us)

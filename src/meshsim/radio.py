@@ -67,10 +67,6 @@ def path_loss_db(
     return ref_loss_db + 10.0 * exponent * math.log10(distance_m / ref_distance_m)
 
 
-def received_power_dbm(tx_power_dbm: float, loss_db: float, shadow_db: float = 0.0) -> float:
-    return tx_power_dbm - loss_db + shadow_db
-
-
 class FrameKind(Enum):
     ADV = "adv"          # legacy advertising PDU, primary channels only
     EXT_IND = "ext_ind"  # extended-advertising indication, primary channels only

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .engine import RandomSource
 from .errors import ConfigError
-from .topology import Topology
+from .topology import Topology, document_lines
 
 SCENARIO_HEADER = "meshsim-scenario v1"
 GROUP_ADDRESS = 0xC000
@@ -225,16 +225,9 @@ _KEYS: dict[str, tuple[str, object, bool]] = {
 
 
 def read_scenario_document(text: str) -> _RawMap:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != SCENARIO_HEADER:
-        raise ConfigError(f"line 1: first line must be {SCENARIO_HEADER!r}")
     raw: _RawMap = {}
     errors: list[str] = []
-    for no, rawline in enumerate(lines[1:], start=2):
-        line = rawline.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
+    for no, tok in document_lines(text, SCENARIO_HEADER):
         if len(tok) < 2:
             errors.append(f"line {no}: key {tok[0]!r} has no value")
             continue

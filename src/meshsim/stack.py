@@ -23,6 +23,9 @@ Message path, source to destination:
 * Segmented unicast messages are block-acknowledged; the sender resends
   missing segments for a bounded number of rounds.  Application-level
   acknowledgments ride the same flooding path as unsegmented data.
+* Each advertiser job carries the callback that releases what it holds (a
+  relay buffer, a publication copy, a place in a segment round), run
+  after the job's last event.
 
 Wire headers are folded into the PHY frame overhead, so PDU octet counts
 equal payload octet counts (with small fixed sizes for control PDUs).
@@ -32,6 +35,7 @@ import heapq
 import logging
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 
 from .engine import Engine, RandomSource
 from .errors import ConfigError
@@ -154,13 +158,6 @@ class NetworkCache:
         return len(self._entries)
 
 
-def scanner_channel_at(scan_interval_us: int, scan_window_us: int, t_us: int):
-    """Channel the scanner is tuned to at time t, or None when idle."""
-    if t_us % scan_interval_us >= scan_window_us:
-        return None
-    return 37 + (t_us // scan_interval_us) % 3
-
-
 @dataclass
 class NodeParams:
     relay_enabled: bool = True
@@ -181,16 +178,16 @@ class NodeParams:
 
 
 class _AdvJob:
-    """One PDU on the advertiser: its remaining events and the next one's due time."""
+    """One PDU on the advertiser: events left, next due time, and its on_done callback."""
 
-    __slots__ = ("pdu", "events_left", "due", "order", "relayed")
+    __slots__ = ("pdu", "events_left", "due", "order", "on_done")
 
-    def __init__(self, pdu, events_left, due, order, relayed):
+    def __init__(self, pdu, events_left, due, order, on_done):
         self.pdu = pdu
         self.events_left = events_left
         self.due = due
         self.order = order
-        self.relayed = relayed
+        self.on_done = on_done
 
 
 class _Publication:
@@ -210,6 +207,9 @@ class _Publication:
         self.active_tag = None
         self.flagged = False
         self.outstanding = 0   # unsegmented copies queued but not fully aired
+
+    def copy_aired(self) -> None:
+        self.outstanding -= 1
 
 
 class _TxAttempt:
@@ -295,12 +295,8 @@ class Node:
             if dst.kind != "group" or dst.value not in self.groups:
                 raise ConfigError(f"unknown group destination {dst}")
             destinations = tuple(self.groups[dst.value])
-        if len(payload) > TRANSPORT_MAX_OCTETS:
-            raise ConfigError(
-                f"payload of {len(payload)} octets exceeds transport maximum "
-                f"{TRANSPORT_MAX_OCTETS}")
         now = self.engine.now
-        self.collector.on_send(app_msg_id, self.node_id, destinations, now, len(payload))
+        self.collector.on_send(app_msg_id, self.node_id, destinations, now)
         pub = _Publication(app_msg_id, dst, payload, mode, now)
         self._pubs[app_msg_id] = pub
         self._send_copy(pub)
@@ -316,22 +312,28 @@ class Node:
             else self.params.n_adv_events_source
         if len(pub.payload) <= limit:
             pub.outstanding += 1
-            self._enqueue(self._make_pdu(pub.dst, pub.payload, pub.app_msg_id), events)
+            self._enqueue(self._make_pdu(pub.dst, pub.payload, pub.app_msg_id),
+                          events, pub.copy_aired)
             pub.active_tag = None
             return
         chunks = segment_payload(pub.payload, extended=self.params.extended)
         tag = self._tag
         self._tag += 1
+        on_done = None
         if pub.dst.kind == "unicast":
             attempt = _TxAttempt(chunks, pub.dst, pub.app_msg_id)
             self._tx_attempts[tag] = attempt
             pub.active_tag = tag
-            # round timer is armed once the train has left the advertiser
             attempt.outstanding = len(chunks)
-        self._enqueue_segments(
-            [self._make_pdu(pub.dst, chunk, pub.app_msg_id,
-                            seg=(i, len(chunks), tag))
-             for i, chunk in enumerate(chunks)], events)
+            on_done = partial(self._segment_aired, tag, attempt)
+        # a segment train airs as repeated whole-message cycles: each segment
+        # is one job, all due at once, so the train goes out back to back in
+        # segment order and repeats about one advertising interval later;
+        # receivers drop a repeat they already caught through the cache
+        for i, chunk in enumerate(chunks):
+            self._enqueue(self._make_pdu(pub.dst, chunk, pub.app_msg_id,
+                                         seg=(i, len(chunks), tag)),
+                          events, on_done)
 
     def _retry_fire(self, pub: _Publication) -> None:
         if pub.acked or pub.flagged:
@@ -391,8 +393,22 @@ class Node:
             self._transport_receive(pdu)
         if (self.params.relay_enabled and pdu.ttl >= 2
                 and pdu.src != self.address):
+            # relay copies come from a finite buffer pool; when it is
+            # exhausted the copy is shed and neighbours with room cover.
+            # without the cap a loaded mesh accumulates backlog without bound
+            if self._relay_backlog >= self.params.relay_buffer_cap:
+                self.relay_drops += 1
+                return
+            self._relay_backlog += 1
+            # a relay copy, like a local PDU, starts as soon as the radio
+            # frees; neighbours that caught the same frame may air their
+            # first events together, and the fresh advDelay of each later
+            # event pulls them out of step
             self._enqueue(pdu.relayed_copy(), self.params.n_adv_events_relay,
-                          relayed=True)
+                          self._relay_aired)
+
+    def _relay_aired(self) -> None:
+        self._relay_backlog -= 1
 
     # --------------------------------------------------------------- transport
     def _transport_receive(self, pdu: MeshPdu) -> None:
@@ -496,45 +512,31 @@ class Node:
                    for i, chunk in enumerate(attempt.chunks)
                    if i not in attempt.acked]
         attempt.outstanding = len(missing)
-        self._enqueue_segments(missing, events)
+        on_done = partial(self._segment_aired, tag, attempt)
+        for pdu in missing:
+            self._enqueue(pdu, events, on_done)
+
+    def _segment_aired(self, tag, attempt: _TxAttempt) -> None:
+        if attempt.done:
+            return
+        attempt.outstanding -= 1
+        if attempt.outstanding == 0:
+            # the round timer is armed once the train has left the advertiser
+            attempt.timer = self.engine.schedule_after(
+                self._round_timeout_us, self._transport_timer, tag)
 
     # --------------------------------------------------------------- advertiser
-    def _enqueue(self, pdu: MeshPdu, n_events: int, relayed: bool = False) -> None:
-        if relayed:
-            # relay copies come from a finite buffer pool; when it is
-            # exhausted the copy is shed and neighbours with room cover.
-            # without the cap a loaded mesh accumulates backlog without bound
-            if self._relay_backlog >= self.params.relay_buffer_cap:
-                self.relay_drops += 1
-                return
-            self._relay_backlog += 1
-        # a relay copy, like a local PDU, starts as soon as the radio frees;
-        # neighbours that caught the same frame may air their first events
-        # together, and the fresh advDelay of each later event pulls them
-        # out of step
-        self._push_job(pdu, n_events, relayed)
-        self._maybe_schedule()
+    def _enqueue(self, pdu: MeshPdu, n_events: int, on_done=None) -> None:
+        """Queue pdu for n_events advertising events, due at once.
 
-    def _enqueue_segments(self, pdus: list, n_cycles: int) -> None:
-        """Air a segment train as repeated whole-message cycles.
-
-        Each segment is one job of n_cycles events on its own cadence, all
-        due at once, so the train goes out back to back in segment order and
-        repeats about one advertising interval later: s0,s1,...,s0,s1,...
-        with one advertising event per segment per cycle.  Receivers that
-        caught a segment in an earlier cycle drop the repeat through the
-        network cache.
+        on_done, when given, runs after the job's last event.
         """
-        for pdu in pdus:
-            self._push_job(pdu, n_cycles, False)
-        self._maybe_schedule()
-
-    def _push_job(self, pdu: MeshPdu, n_events: int, relayed: bool) -> None:
         now = self.engine.now
         order = self._adv_order
         self._adv_order += 1
         heapq.heappush(self._adv_heap,
-                       (now, order, _AdvJob(pdu, n_events, now, order, relayed)))
+                       (now, order, _AdvJob(pdu, n_events, now, order, on_done)))
+        self._maybe_schedule()
 
     def _maybe_schedule(self) -> None:
         """Keep the idle radio's one wakeup at the earliest due time."""
@@ -612,23 +614,8 @@ class Node:
         job.events_left -= 1
         if job.events_left:
             heapq.heappush(heap, (job.due, job.order, job))
-        else:
-            if job.relayed:
-                self._relay_backlog -= 1
-            pdu = job.pdu
-            if pdu.kind == "data" and pdu.src == self.address and not job.relayed:
-                if pdu.seg is not None:
-                    attempt = self._tx_attempts.get(pdu.seg[2])
-                    if attempt is not None and not attempt.done:
-                        attempt.outstanding -= 1
-                        if attempt.outstanding == 0:
-                            attempt.timer = self.engine.schedule_after(
-                                self._round_timeout_us, self._transport_timer,
-                                pdu.seg[2])
-                else:
-                    pub = self._pubs.get(pdu.app_msg_id)
-                    if pub is not None:
-                        pub.outstanding -= 1
+        elif job.on_done is not None:
+            job.on_done()
         if heap and heap[0][0] <= self.engine.now:
             # the radio is free and a job is already due: start it here
             # rather than through a zero-delay wakeup

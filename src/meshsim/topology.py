@@ -160,28 +160,42 @@ def flood_reaches_all(topology: Topology, relays: set[str],
     every node forwarding do not count against the subset.
     """
     adj = topology.adjacency(tx_power_dbm)
+    # an all-relay flood reaches exactly the source's connected component,
+    # and a subset flood reaches a subset of it, so sizes decide
+    component_size: dict[str, int] = {}
     for src in topology.node_ids:
-        if _hops_from(adj, src, relays).keys() != _hops_from(adj, src).keys():
+        if src not in component_size:
+            component = _hops_from(adj, src)
+            component_size.update(dict.fromkeys(component, len(component)))
+        if len(_hops_from(adj, src, relays)) != component_size[src]:
             return False
     return True
 
 
+def document_lines(text: str, header: str) -> list[tuple[int, list[str]]]:
+    """(line number, tokens) of each non-blank line after the header line.
+
+    ``#`` starts a comment; a first line other than `header` raises ConfigError.
+    """
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != header:
+        raise ConfigError(f"line 1: first line must be {header!r}")
+    out = []
+    for no, raw in enumerate(lines[1:], start=2):
+        tok = raw.split("#", 1)[0].split()
+        if tok:
+            out.append((no, tok))
+    return out
+
+
 def load_topology(text: str) -> Topology:
     """Parse a topology document, reporting every problem found."""
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != TOPOLOGY_HEADER:
-        raise ConfigError(f"line 1: first line must be {TOPOLOGY_HEADER!r}")
-
     errors: list[str] = []
     nodes: dict[str, TopologyNode] = {}
     att: float | None = None
     loss_entries: list[tuple[str, str, float, int]] = []
 
-    for no, raw in enumerate(lines[1:], start=2):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
+    for no, tok in document_lines(text, TOPOLOGY_HEADER):
         if tok[0] == "floor-attenuation-db":
             if len(tok) != 2:
                 errors.append(f"line {no}: floor-attenuation-db takes one value")

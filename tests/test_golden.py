@@ -8,9 +8,14 @@ a duty-cycled scanner, power control's RSSI feed and AUX eligibility.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import meshsim
 from meshsim.runner import run_experiment
 from meshsim.scenario import load_scenario
 from meshsim.topology import bundled_data_path, load_bundled_topology
@@ -51,6 +56,9 @@ GOLDEN = {
 }
 
 
+MM3 = ("office_two_floor_20.topo", "mm3.scn", ())
+
+
 def run_digest(topology: str, scenario: str, overrides) -> str:
     cfg = load_scenario(bundled_data_path(scenario).read_text(encoding="utf-8"),
                         [f"iterations={ITERATIONS}", *overrides])
@@ -64,3 +72,17 @@ def run_digest(topology: str, scenario: str, overrides) -> str:
                          ids=lambda c: "+".join((c[1].removesuffix(".scn"), *c[2])))
 def test_golden_digest(case):
     assert run_digest(*case) == GOLDEN[case]
+
+
+def test_golden_digest_under_any_hash_seed():
+    # str hashing is salted per process, so set and dict-keyed state must
+    # never decide event order; run mm3 in fresh interpreters to check
+    code = ("import sys; sys.path[:0] = sys.argv[1:3]; import test_golden as g; "
+            "print(g.run_digest(*g.MM3))")
+    paths = [str(Path(meshsim.__file__).resolve().parent.parent),
+             str(Path(__file__).resolve().parent)]
+    for hash_seed in ("0", "4242"):
+        out = subprocess.run([sys.executable, "-c", code, *paths],
+                             env={**os.environ, "PYTHONHASHSEED": hash_seed},
+                             capture_output=True, text=True, timeout=300, check=True)
+        assert out.stdout.strip() == GOLDEN[MM3], hash_seed

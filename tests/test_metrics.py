@@ -31,12 +31,12 @@ def rec(msg_id, dst="b", send=0, delivery=None, ack=None, retx=0, frames=0,
 
 def test_collector_records_and_statuses():
     c = Collector(addr_to_node={2: "b"})
-    c.on_send(1, "a", ("b",), 0, 11)
+    c.on_send(1, "a", ("b",), 0)
     c.on_delivery(1, "b", 5_000)
     c.on_delivery(1, "b", 9_999)          # duplicate delivery keeps the first
     c.on_ack(1, 2, 9_000)
-    c.on_send(2, "a", ("b",), 1_000, 11)
-    c.on_send(3, "a", ("b",), 2_000, 11)
+    c.on_send(2, "a", ("b",), 1_000)
+    c.on_send(3, "a", ("b",), 2_000)
     c.on_delivery(3, "b", 30_000)
     c.flag_guard(3)
     r1, r2, r3 = c.records()
@@ -45,13 +45,13 @@ def test_collector_records_and_statuses():
     assert r1.round_trip_ms == 9.0
     assert r2.one_way_ms is None and r2.round_trip_ms is None
     with pytest.raises(ConfigError):
-        c.on_send(1, "a", ("b",), 5_000, 11)
+        c.on_send(1, "a", ("b",), 5_000)
 
 
 def test_collector_mean_power():
     c = Collector()
     assert c.mean_tx_power_dbm is None
-    c.on_send(1, "a", ("b",), 0, 11)
+    c.on_send(1, "a", ("b",), 0)
     c.on_frame(1, -10.0)
     c.on_frame(1, -20.0)
     assert c.mean_tx_power_dbm == -15.0
@@ -60,7 +60,7 @@ def test_collector_mean_power():
 
 def test_one_record_per_destination():
     c = Collector()
-    c.on_send(1, "a", ("b", "c"), 0, 11)
+    c.on_send(1, "a", ("b", "c"), 0)
     c.on_delivery(1, "c", 7_000)
     by_dst = {r.destination: r for r in c.records()}
     assert by_dst["b"].status == LOST

@@ -19,7 +19,6 @@ from meshsim.radio import (
     Outcome,
     airtime_us,
     path_loss_db,
-    received_power_dbm,
 )
 
 CONTINUOUS = 10**9  # scan interval long enough that t stays in the first window
@@ -62,10 +61,6 @@ def test_path_loss_reference_points():
     assert path_loss_db(10.0) == pytest.approx(67.0)
     with pytest.raises(ConfigError):
         path_loss_db(0.0)
-
-
-def test_received_power_is_plain_db_arithmetic():
-    assert received_power_dbm(0.0, 67.0, 3.0) == pytest.approx(-64.0)
 
 
 def test_frame_channel_kind_validation():
@@ -330,7 +325,7 @@ def run_impl(nodes, frames, loss):
 
 def test_reception_oracle_two_frames():
     nodes = ("a", "b", "c")
-    loss_values = (60.0, 72.0, 95.0)
+    loss_values = (60.0, 70.0, 72.0, 95.0)
     checked = 0
     for la, lb, lc in itertools.product(loss_values, repeat=3):
         loss = {
@@ -344,12 +339,12 @@ def test_reception_oracle_two_frames():
                     frames = [("a", 37, p1, 0, 11), (tx2, 37, p2, s2, 11)]
                     assert run_impl(nodes, frames, loss) == expected(nodes, frames, loss)
                     checked += 1
-    assert checked == 27 * 2 * 10 * 4
+    assert checked == 64 * 2 * 10 * 4
 
 
 def test_reception_oracle_three_frames():
     nodes = ("a", "b", "c")
-    loss_values = (60.0, 72.0, 95.0)
+    loss_values = (60.0, 70.0, 72.0, 95.0)
     for la, lb, lc in itertools.product(loss_values, repeat=3):
         loss = {
             frozenset(("a", "b")): la,

@@ -7,14 +7,22 @@ from hypothesis import strategies as st
 from meshsim.engine import Engine, RandomSource
 from meshsim.errors import ConfigError
 from meshsim.metrics import DELIVERED, FLAGGED, LOST, Collector
-from meshsim.radio import FrameKind, LinkModel, Medium
+from meshsim.radio import (
+    PHY_1M,
+    PRIMARY_CHANNELS,
+    ChannelFrame,
+    FrameKind,
+    LinkModel,
+    Medium,
+    _scanner_catches,
+    airtime_us,
+)
 from meshsim.stack import (
     MeshPdu,
     NetworkCache,
     Node,
     NodeParams,
     group,
-    scanner_channel_at,
     segment_payload,
     unicast,
 )
@@ -74,16 +82,23 @@ class World:
 # ------------------------------------------------------------- pure functions
 
 def test_scanner_channel_rotation():
+    def caught_on(interval, window, t_us):
+        """Primary channels on which the scanner catches a 1-octet frame at t_us."""
+        return [ch for ch in PRIMARY_CHANNELS if _scanner_catches(
+            interval, window, ChannelFrame("a", ch, PHY_1M, 0.0, t_us, 1))]
+
     interval = 2_000_000
-    assert scanner_channel_at(interval, interval, 0) == 37
-    assert scanner_channel_at(interval, interval, 1_999_999) == 37
-    assert scanner_channel_at(interval, interval, 2_000_000) == 38
-    assert scanner_channel_at(interval, interval, 4_000_000) == 39
-    assert scanner_channel_at(interval, interval, 6_000_000) == 37
+    assert caught_on(interval, interval, 0) == [37]
+    assert caught_on(interval, interval, interval - airtime_us(1, PHY_1M)) == [37]
+    assert caught_on(interval, interval, 2_000_000) == [38]
+    assert caught_on(interval, interval, 4_000_000) == [39]
+    assert caught_on(interval, interval, 6_000_000) == [37]
+    # a frame that runs across the channel switch is caught on neither side
+    assert caught_on(interval, interval, 1_999_999) == []
     # duty-cycled scanner idles once the window closes
-    assert scanner_channel_at(1_000_000, 10_000, 5_000) == 37
-    assert scanner_channel_at(1_000_000, 10_000, 10_000) is None
-    assert scanner_channel_at(1_000_000, 10_000, 1_004_000) == 38
+    assert caught_on(1_000_000, 10_000, 5_000) == [37]
+    assert caught_on(1_000_000, 10_000, 10_000) == []
+    assert caught_on(1_000_000, 10_000, 1_004_000) == [38]
 
 
 @pytest.mark.parametrize("size,expected", [
@@ -214,6 +229,15 @@ def test_unicast_retries_until_link_returns():
     assert rec.retransmissions == 5        # 200 ms cadence across a 1 s outage
     assert 1_000_000 <= rec.delivery_time_us < 1_005_000
     assert rec.ack_time_us is not None
+
+
+def test_publish_rejects_oversized_payload():
+    w = World(["a", "b"], 60.0)
+    with pytest.raises(ConfigError, match="payload of 381 octets exceeds "
+                                          "transport maximum 380"):
+        w.nodes["a"].publish(unicast(w.addr["b"]), bytes(381), "unicast", 1)
+    w.engine.run_until_idle()
+    assert w.frames == []
 
 
 def test_retry_cap_stops_republishing():
@@ -390,7 +414,7 @@ def test_lost_segment_recovered_by_block_ack(seed):
 
 def test_partial_buffer_acks_then_expires():
     w = World(["a", "b"], 60.0)
-    w.collector.on_send(55, "a", ("b",), 0, 24)
+    w.collector.on_send(55, "a", ("b",), 0)
     pdu = MeshPdu(w.addr["a"], unicast(w.addr["b"]), 0, 7, bytes(12), 55,
                   seg=(0, 2, 9))
     w.engine.schedule(0, w.nodes["b"].receive_network_pdu, pdu)
