@@ -16,6 +16,13 @@ order, the frame's own RSSI and then, until one fails capture, each
 overlapping frame's RSSI not yet cached.  Every digest depends on that
 order; a change to the loop must keep it, or alter results on purpose.
 
+History is kept only as long as a pending resolution can need it.  Every
+frame starts no earlier than its registration, and a frame still waiting
+for resolution at time now ends at or after now, so it started no earlier
+than now minus the longest airtime registered so far.  A registered frame
+or transmit interval that ended more than that airtime before now cannot
+overlap it, nor any frame registered later, and is pruned.
+
 Wire-format headers of the mesh stack are folded into the per-PHY frame
 overhead, so a frame's pdu_octets is just its payload size.
 """
@@ -30,10 +37,6 @@ from .errors import ConfigError
 
 PRIMARY_CHANNELS = (37, 38, 39)
 ALL_CHANNELS = tuple(range(40))
-
-# safety lag (µs) for pruning occupancy/tx-interval history; must exceed the
-# longest frame airtime the config can produce
-_PRUNE_LAG_US = 5_000
 
 
 @dataclass(frozen=True)
@@ -185,7 +188,17 @@ class Medium:
         self._candidates: dict = {}
         self._blackouts: list = []
         self._uniform_scan: tuple[int, int] | None = None
-        self.outcome_counts = {o: 0 for o in Outcome}
+        self._max_airtime_us = 0
+        self._not_listening = self._below_sensitivity = 0
+        self._collision = self._delivered = 0
+
+    @property
+    def outcome_counts(self) -> dict:
+        """Reception outcomes so far, {Outcome: count}; a fresh dict per read."""
+        return {Outcome.DELIVERED: self._delivered,
+                Outcome.NOT_LISTENING: self._not_listening,
+                Outcome.BELOW_SENSITIVITY: self._below_sensitivity,
+                Outcome.COLLISION: self._collision}
 
     def register(self, node_id, scan_interval_us, scan_window_us, chan_rng: RandomSource,
                  on_frame, on_rssi=None) -> None:
@@ -232,25 +245,27 @@ class Medium:
         can catch whole is counted as not listening here, with no resolution
         event; it stays registered, so it still interferes.
         """
-        now = self.engine.now
+        airtime = frame.end - frame.start
+        if airtime > self._max_airtime_us:
+            self._max_airtime_us = airtime
+        horizon = self.engine.now - self._max_airtime_us
         intervals = self._tx_intervals.get(frame.transmitter)
         if intervals is not None:  # virtual interferers are not registered nodes
             if intervals and frame.start < intervals[-1][1]:
                 raise AssertionError(
                     f"node {frame.transmitter!r} already transmitting at t={frame.start}")
             intervals.append((frame.start, frame.end))
-            while intervals and intervals[0][1] + _PRUNE_LAG_US < now:
+            while intervals and intervals[0][1] < horizon:
                 intervals.popleft()
         reg = self._channel_frames[frame.channel]
         reg.append(frame)
-        while reg and reg[0].end + _PRUNE_LAG_US < now:
+        while reg and reg[0].end < horizon:
             reg.popleft()
         if frame.kind is FrameKind.NOISE:
             return
         if self._uniform_scan is not None and frame.kind is not FrameKind.AUX \
                 and not _scanner_catches(*self._uniform_scan, frame):
-            self.outcome_counts[Outcome.NOT_LISTENING] += \
-                len(self._candidates[frame.transmitter])
+            self._not_listening += len(self._candidates[frame.transmitter])
             return
         self.engine.schedule(frame.end, self._resolve_all, frame)
 
@@ -289,55 +304,58 @@ class Medium:
                     receiver.scan_interval_us, receiver.scan_window_us, frame):
                 n_nl += 1
                 continue
-            for s, e in intervals:
-                if s < end and start < e:
-                    n_nl += 1      # half duplex: receiver was transmitting
+            # half duplex: the receiver transmitted during the frame.  Its
+            # intervals are sorted and disjoint, so the walk back from the
+            # newest stops at the first that ended by the frame's start.
+            busy = False
+            for s, e in reversed(intervals):
+                if e <= start:
                     break
+                if s < end:
+                    busy = True
+                    break
+            if busy:
+                n_nl += 1
+                continue
+            rssi = cache.get(rx)
+            if rssi is None:
+                u = rand()
+                if u <= 0.0:
+                    u = 5e-324
+                rssi = power - loss + (0.0 + sigma * normal_quantile(u, 0.0, 1.0))
+                if blackouts and self._blacked_out(tx, rx, start):
+                    rssi = -math.inf
+                cache[rx] = rssi
+            if rssi < sens:
+                n_bs += 1
+                continue
+            captured = True
+            for other in overlaps:
+                other_rssi = other.rssi_cache.get(rx)
+                if other_rssi is None:
+                    if other.kind is noise:
+                        other_rssi = other.power_dbm
+                    else:
+                        u = rand()
+                        if u <= 0.0:
+                            u = 5e-324
+                        other_rssi = (other.power_dbm - rows[other.transmitter][rx]
+                                      + (0.0 + sigma * normal_quantile(u, 0.0, 1.0)))
+                    if blackouts and self._blacked_out(other.transmitter, rx,
+                                                       other.start):
+                        other_rssi = -math.inf
+                    other.rssi_cache[rx] = other_rssi
+                if rssi - other_rssi < capture:
+                    captured = False
+                    break
+            if primary and receiver.on_rssi is not None:
+                receiver.on_rssi(channel, rssi)
+            if captured:
+                n_del += 1
+                receiver.on_frame(frame, rssi)
             else:
-                rssi = cache.get(rx)
-                if rssi is None:
-                    u = rand()
-                    if u <= 0.0:
-                        u = 5e-324
-                    rssi = power - loss + (0.0 + sigma * normal_quantile(u, 0.0, 1.0))
-                    if blackouts and self._blacked_out(tx, rx, start):
-                        rssi = -math.inf
-                    cache[rx] = rssi
-                if rssi < sens:
-                    n_bs += 1
-                    continue
-                captured = True
-                for other in overlaps:
-                    other_rssi = other.rssi_cache.get(rx)
-                    if other_rssi is None:
-                        if other.kind is noise:
-                            other_rssi = other.power_dbm
-                        else:
-                            u = rand()
-                            if u <= 0.0:
-                                u = 5e-324
-                            other_rssi = (other.power_dbm - rows[other.transmitter][rx]
-                                          + (0.0 + sigma * normal_quantile(u, 0.0, 1.0)))
-                        if blackouts and self._blacked_out(other.transmitter, rx,
-                                                           other.start):
-                            other_rssi = -math.inf
-                        other.rssi_cache[rx] = other_rssi
-                    if rssi - other_rssi < capture:
-                        captured = False
-                        break
-                if primary and receiver.on_rssi is not None:
-                    receiver.on_rssi(channel, rssi)
-                if captured:
-                    n_del += 1
-                    receiver.on_frame(frame, rssi)
-                else:
-                    n_col += 1
-        counts = self.outcome_counts
-        if n_nl:
-            counts[Outcome.NOT_LISTENING] += n_nl
-        if n_bs:
-            counts[Outcome.BELOW_SENSITIVITY] += n_bs
-        if n_col:
-            counts[Outcome.COLLISION] += n_col
-        if n_del:
-            counts[Outcome.DELIVERED] += n_del
+                n_col += 1
+        self._not_listening += n_nl
+        self._below_sensitivity += n_bs
+        self._collision += n_col
+        self._delivered += n_del

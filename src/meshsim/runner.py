@@ -116,8 +116,8 @@ def run_experiment(topology: Topology, cfg: ScenarioConfig, seed: int) -> RunRes
 
     loss = topology.loss_map()
     if cfg.interference_rate_per_s > 0:
-        for nid in topology.node_ids:
-            loss[(ENV_TRANSMITTER, nid)] = 0.0
+        loss = {**loss, **dict.fromkeys(
+            ((ENV_TRANSMITTER, nid) for nid in topology.node_ids), 0.0)}
 
     engine = Engine()
     medium = Medium(engine, LinkModel(loss))

@@ -15,7 +15,9 @@ value for that key before validation.
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .engine import RandomSource
@@ -82,6 +84,10 @@ class ScenarioConfig:
             if not ok:
                 out.append(msg)
 
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float):
+                check(math.isfinite(value), f"{f.name}: must be finite")
         check(self.pattern in PATTERNS,
               f"pattern: unknown pattern {self.pattern!r}")
         check(self.mode in MODES, f"mode: unknown mode {self.mode!r}")
@@ -323,19 +329,38 @@ class ScheduledSend:
     size_octets: int
 
 
-def _draw_disjoint_pairs(eligible, k: int, rng: RandomSource):
+def _pair_positions(eligible) -> dict[str, list[int]]:
+    """Each node's positions in `eligible`, ascending."""
+    out: dict[str, list[int]] = defaultdict(list)
+    for i, (a, b) in enumerate(eligible):
+        out[a].append(i)
+        out[b].append(i)
+    return out
+
+
+def _draw_disjoint_pairs(eligible, positions, k: int, rng: RandomSource):
+    """k pairs of `eligible` drawn one at a time, none sharing a node.
+
+    Each pick is uniform over the pairs that touch no node picked so far:
+    it draws an index over those and maps it to a position of `eligible`
+    by skipping the sorted excluded positions, the pairs that touch a
+    picked node (`positions` is _pair_positions(eligible)).
+    """
     for _ in range(PAIR_DRAW_ATTEMPTS):
-        used: set[str] = set()
+        excluded: list[int] = []
         chosen: list[tuple[str, str]] = []
         for _ in range(k):
-            cand = [p for p in eligible
-                    if p[0] not in used and p[1] not in used]
-            if not cand:
+            n = len(eligible) - len(excluded)
+            if n == 0:
                 break
-            idx = min(int(rng.draw_uniform(0, len(cand))), len(cand) - 1)
-            pair = cand[idx]
+            pos = min(int(rng.draw_uniform(0, n)), n - 1)
+            for e in excluded:
+                if e > pos:
+                    break
+                pos += 1
+            pair = eligible[pos]
             chosen.append(pair)
-            used.update(pair)
+            excluded = sorted({*excluded, *positions[pair[0]], *positions[pair[1]]})
         if len(chosen) == k:
             return chosen
     raise ConfigError(
@@ -384,9 +409,11 @@ def build_traffic(topology: Topology, cfg: ScenarioConfig,
         if not eligible:
             raise ConfigError(
                 f"topology has no pairs >= {MIN_PAIR_HOPS} hops apart")
+        positions = _pair_positions(eligible)
         for m in range(cfg.iterations):
             t = iteration_start(m)
-            for src, dst in _draw_disjoint_pairs(eligible, cfg.senders, rng):
+            for src, dst in _draw_disjoint_pairs(eligible, positions,
+                                                 cfg.senders, rng):
                 sends.append((t, src, dst, None))
 
     sends.sort(key=lambda s: s[0])

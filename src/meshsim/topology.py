@@ -60,6 +60,7 @@ class Topology:
         self.nodes: dict[str, TopologyNode] = dict(nodes)
         self.floor_attenuation_db = float(floor_attenuation_db)
         self.overrides: dict[tuple[str, str], float] = dict(overrides or {})
+        self._losses: dict[tuple[str, str], float] | None = None
         self._adjacency: dict[float, dict[str, tuple[str, ...]]] = {}
 
     @property
@@ -72,6 +73,9 @@ class Topology:
                 raise ConfigError(f"unknown node {nid!r}")
         if a == b:
             raise ConfigError(f"path loss of node {a!r} to itself")
+        return self._pair_loss(a, b)
+
+    def _pair_loss(self, a: str, b: str) -> float:
         key = _pair(a, b)
         if key in self.overrides:
             return self.overrides[key]
@@ -80,27 +84,30 @@ class Topology:
         d = math.hypot(na.x - nb.x, na.y - nb.y, FLOOR_HEIGHT_M * dfloors)
         return path_loss_db(d) + self.floor_attenuation_db * dfloors
 
-    def loss_map(self) -> dict[tuple[str, str], float]:
-        """Loss for every ordered pair; symmetric by construction."""
-        out: dict[tuple[str, str], float] = {}
-        ids = self.node_ids
-        for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                v = self.path_loss_db(a, b)
-                out[(a, b)] = v
-                out[(b, a)] = v
-        return out
+    def loss_map(self) -> Mapping[tuple[str, str], float]:
+        """Loss for every ordered pair; symmetric, built once, read-only."""
+        if self._losses is None:
+            out: dict[tuple[str, str], float] = {}
+            ids = self.node_ids
+            for i, a in enumerate(ids):
+                for b in ids[i + 1:]:
+                    v = self._pair_loss(a, b)
+                    out[(a, b)] = v
+                    out[(b, a)] = v
+            self._losses = out
+        return MappingProxyType(self._losses)
 
     def adjacency(self, tx_power_dbm: float = 0.0) -> Mapping[str, tuple[str, ...]]:
         """Hop-graph neighbours of every node; built once per power, read-only."""
         neigh = self._adjacency.get(tx_power_dbm)
         if neigh is None:
             limit = tx_power_dbm - (EDGE_SENSITIVITY_DBM + EDGE_MARGIN_DB)
+            loss = self.loss_map()
             ids = self.node_ids
             lists: dict[str, list[str]] = {n: [] for n in ids}
             for i, a in enumerate(ids):
                 for b in ids[i + 1:]:
-                    if self.path_loss_db(a, b) <= limit:
+                    if loss[(a, b)] <= limit:
                         lists[a].append(b)
                         lists[b].append(a)
             neigh = self._adjacency[tx_power_dbm] = {
@@ -116,36 +123,50 @@ class Topology:
 
     def eligible_pairs(self, min_hops: int = 2,
                        tx_power_dbm: float = 0.0) -> tuple[tuple[str, str], ...]:
-        """Ordered (src, dst) pairs at least min_hops apart and reachable."""
+        """Ordered (src, dst) pairs at least min_hops apart and reachable.
+
+        Reachable means in the same connected component; dst is too close
+        when it lies within min_hops - 1 hops of src.
+        """
         adj = self.adjacency(tx_power_dbm)
+        ids = self.node_ids
+        # one list object per component, shared by its members, filled in
+        # node_ids order
+        members: dict[str, list[str]] = {}
+        for a in ids:
+            if a not in members:
+                members.update(dict.fromkeys(_hops_from(adj, a), []))
+        for a in ids:
+            members[a].append(a)
         out: list[tuple[str, str]] = []
-        for a in self.node_ids:
-            dist = _hops_from(adj, a)
-            for b in self.node_ids:
-                d = dist.get(b)
-                if b != a and d is not None and d >= min_hops:
-                    out.append((a, b))
+        for a in ids:
+            near = _hops_from(adj, a, depth=min_hops - 1)
+            out.extend((a, b) for b in members[a] if b not in near)
         return tuple(out)
 
 
 def _hops_from(adj: Mapping[str, tuple[str, ...]], src: str,
-               forwarding: set[str] | None = None) -> dict[str, int]:
+               forwarding: set[str] | None = None,
+               depth: int | None = None) -> dict[str, int]:
     """Breadth-first hop counts from src to every node a flood reaches.
 
     With `forwarding` given, only src and its members pass the flood on;
-    other nodes are reached but forward nothing.
+    other nodes are reached but forward nothing.  With `depth` given, the
+    search stops at nodes `depth` hops out, so only nodes within that many
+    hops are returned (depth <= 0 returns src alone).
     """
     dist = {src: 0}
     frontier = [src]
-    while frontier:
+    hops = 0
+    while frontier and (depth is None or hops < depth):
+        hops += 1
         nxt: list[str] = []
         for u in frontier:
             if forwarding is not None and u != src and u not in forwarding:
                 continue
-            d = dist[u] + 1
             for v in adj[u]:
                 if v not in dist:
-                    dist[v] = d
+                    dist[v] = hops
                     nxt.append(v)
         frontier = nxt
     return dist
@@ -158,16 +179,32 @@ def flood_reaches_all(topology: Topology, relays: set[str],
     Sources always transmit their own messages, so the origin forwards
     regardless of relay membership.  Nodes that no flood reaches even with
     every node forwarding do not count against the subset.
+
+    An all-relay flood reaches exactly the source's connected component, so
+    each component is checked on its own.  Call a connected component of the
+    relay-only subgraph a relay cluster.  A flood from src reaches src, its
+    neighbours, and every relay cluster that contains src or one of its
+    neighbours, together with that cluster's neighbours.  From a relay r
+    that is just r's cluster C and C's neighbours.  So if the component
+    holds two clusters, a flood from one misses the other; if it holds one
+    cluster C, every source reaches the whole component exactly when C and
+    its neighbours make up the component, since every other source then
+    neighbours C.  One flood from any relay of the component decides both.
+    A component without relays is covered only when every node hears every
+    other directly.
     """
     adj = topology.adjacency(tx_power_dbm)
-    # an all-relay flood reaches exactly the source's connected component,
-    # and a subset flood reaches a subset of it, so sizes decide
-    component_size: dict[str, int] = {}
+    done: set[str] = set()
     for src in topology.node_ids:
-        if src not in component_size:
-            component = _hops_from(adj, src)
-            component_size.update(dict.fromkeys(component, len(component)))
-        if len(_hops_from(adj, src, relays)) != component_size[src]:
+        if src in done:
+            continue
+        component = _hops_from(adj, src)
+        done.update(component)
+        relay = next((n for n in component if n in relays), None)
+        if relay is None:
+            if any(len(adj[n]) != len(component) - 1 for n in component):
+                return False
+        elif len(_hops_from(adj, relay, relays)) != len(component):
             return False
     return True
 
@@ -207,6 +244,9 @@ def load_topology(text: str) -> Topology:
                 att = float(tok[1])
             except ValueError:
                 errors.append(f"line {no}: bad attenuation {tok[1]!r}")
+                continue
+            if not math.isfinite(att):
+                errors.append(f"line {no}: non-finite attenuation {tok[1]!r}")
         elif tok[0] == "node":
             if len(tok) not in (2, 5):
                 errors.append(
@@ -225,6 +265,9 @@ def load_topology(text: str) -> Topology:
             except ValueError:
                 errors.append(f"line {no}: bad coordinates for node {nid!r}")
                 continue
+            if not (math.isfinite(x) and math.isfinite(y)):
+                errors.append(f"line {no}: non-finite coordinates for node {nid!r}")
+                continue
             nodes[nid] = TopologyNode(nid, floor, x, y)
         elif tok[0] == "loss":
             if len(tok) != 4:
@@ -234,6 +277,9 @@ def load_topology(text: str) -> Topology:
                 val = float(tok[3])
             except ValueError:
                 errors.append(f"line {no}: bad loss value {tok[3]!r}")
+                continue
+            if not math.isfinite(val):
+                errors.append(f"line {no}: non-finite loss value {tok[3]!r}")
                 continue
             loss_entries.append((tok[1], tok[2], val, no))
         else:

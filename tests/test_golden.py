@@ -5,6 +5,8 @@ leave each digest as it is.  A change that alters results on purpose updates
 the digest it moves and says why in CHANGES.md.  The override cases pin the
 reception branches the bundled scenarios leave unused: background noise,
 a duty-cycled scanner, power control's RSSI feed and AUX eligibility.
+The 100-node grid case pins relay-subset acceptance and disjoint pair
+draws at a size where they dominate set-up.
 """
 
 import hashlib
@@ -18,7 +20,7 @@ import pytest
 import meshsim
 from meshsim.runner import run_experiment
 from meshsim.scenario import load_scenario
-from meshsim.topology import bundled_data_path, load_bundled_topology
+from meshsim.topology import bundled_data_path, load_bundled_topology, load_topology
 
 SEED = 1
 ITERATIONS = 10
@@ -59,19 +61,42 @@ GOLDEN = {
 MM3 = ("office_two_floor_20.topo", "mm3.scn", ())
 
 
-def run_digest(topology: str, scenario: str, overrides) -> str:
-    cfg = load_scenario(bundled_data_path(scenario).read_text(encoding="utf-8"),
-                        [f"iterations={ITERATIONS}", *overrides])
-    result = run_experiment(load_bundled_topology(topology), cfg, SEED)
+# mm3 with relay_fraction=0.5 for 2 iterations on grid_topology_document()
+GRID100_DIGEST = "393eeff0ac8febdb410fdd547e547686b625a9c1026351eb7921fc02dd177a1a"
+
+
+def result_digest(result) -> str:
     payload = repr((result.records, result.relays, result.frames_sent,
                     result.relay_drops))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def run_digest(topology: str, scenario: str, overrides) -> str:
+    cfg = load_scenario(bundled_data_path(scenario).read_text(encoding="utf-8"),
+                        [f"iterations={ITERATIONS}", *overrides])
+    return result_digest(run_experiment(load_bundled_topology(topology), cfg, SEED))
+
+
+def grid_topology_document() -> str:
+    """2 floors x 5 rows x 10 columns at 14 m pitch, ids g001..g100."""
+    lines = ["meshsim-topology v1"]
+    for n in range(100):
+        floor, row, col = n // 50, n // 10 % 5, n % 10
+        lines.append(f"node g{n + 1:03d} {floor} {14.0 * col:g} {14.0 * row:g}")
+    return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("case", list(GOLDEN),
                          ids=lambda c: "+".join((c[1].removesuffix(".scn"), *c[2])))
 def test_golden_digest(case):
     assert run_digest(*case) == GOLDEN[case]
+
+
+def test_golden_digest_grid100_half_relays():
+    cfg = load_scenario(bundled_data_path("mm3.scn").read_text(encoding="utf-8"),
+                        ["iterations=2", "relay_fraction=0.5"])
+    result = run_experiment(load_topology(grid_topology_document()), cfg, SEED)
+    assert result_digest(result) == GRID100_DIGEST
 
 
 def test_golden_digest_under_any_hash_seed():

@@ -201,6 +201,24 @@ def test_noise_frame_interferes_but_never_delivers():
     assert delivered == []  # -60 vs -55 noise: capture fails
 
 
+def test_history_outlives_a_short_frame_while_a_long_one_is_pending():
+    # c's first frame ends at 168 us, long before c transmits again at
+    # 1500 us, yet a's 1680 us frame (100..1780) is still unresolved and
+    # overlaps it; the second, faint frame must not prune the first
+    eng, med, delivered = make_medium(
+        {("a", "b"): 60.0, ("c", "b"): 60.0, ("a", "c"): 60.0})
+    med.begin_transmission(ChannelFrame("c", 37, PHY_1M, 0.0, 0, 11))
+    med.begin_transmission(ChannelFrame("a", 37, PHY_1M, 0.0, 100, 200))
+    eng.schedule(1500, med.begin_transmission,
+                 ChannelFrame("c", 37, PHY_1M, -100.0, 1500, 11))
+    eng.run_until_idle()
+    assert delivered == []
+    counts = med.outcome_counts
+    assert counts[Outcome.COLLISION] == 2      # b: c's first frame and a's
+    counts[Outcome.COLLISION] = 0              # a copy: the medium keeps its own
+    assert med.outcome_counts[Outcome.COLLISION] == 2
+
+
 def test_blackout_window_forces_loss():
     eng, med, delivered = make_medium({("a", "b"): 60.0})
     med.add_blackout(0, 1_000_000)

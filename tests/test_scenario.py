@@ -1,15 +1,23 @@
+import dataclasses
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshsim.engine import RandomSource
 from meshsim.errors import ConfigError
 from meshsim.scenario import (
     GROUP_ADDRESS,
+    PAIR_DRAW_ATTEMPTS,
     ScenarioConfig,
     apply_overrides,
     build_traffic,
     load_scenario,
     read_scenario_document,
     scenario_to_document,
+    _draw_disjoint_pairs,
+    _pair_positions,
 )
 from meshsim.topology import bundled_data_path, load_bundled_topology, load_topology
 
@@ -98,6 +106,33 @@ def test_zero_adv_interval_rejected():
 def test_out_of_range_values_name_their_key(body, path):
     with pytest.raises(ConfigError, match=path):
         scn(body)
+
+
+@pytest.mark.parametrize("body", [
+    "interference_rate_per_s inf",
+    "period_ms inf",
+    "jitter_ms nan",
+    "tx_power_dbm -inf",
+    "scan_window_ms inf",
+    "power_control.zeta_th_dbm nan",
+])
+def test_non_finite_values_rejected(body):
+    # parse and validate only: a run with interference_rate_per_s inf would
+    # never advance the noise schedule
+    key = body.split()[0].replace(".", "_")
+    with pytest.raises(ConfigError, match=f"{key}: must be finite"):
+        scn(body)
+
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)
+                if f.type.startswith("float")]
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_every_float_field_must_be_finite(name, value):
+    cfg = dataclasses.replace(ScenarioConfig(), **{name: value})
+    assert f"{name}: must be finite" in cfg.problems()
 
 
 def test_scan_window_defaults_to_interval_minus_turnaround():
@@ -296,3 +331,53 @@ def test_jitter_offsets_iterations_not_sends():
     assert all(len(v) == 1 for v in by_iteration.values())
     assert len(by_iteration) == 5
     assert len({t % 1_000_000 for t in times}) > 1
+
+
+def filtered_list_draw(eligible, k, rng):
+    """Reference definition: each pick is uniform over the filtered pair list."""
+    for _ in range(PAIR_DRAW_ATTEMPTS):
+        used = set()
+        chosen = []
+        for _ in range(k):
+            cand = [p for p in eligible if p[0] not in used and p[1] not in used]
+            if not cand:
+                break
+            idx = min(int(rng.draw_uniform(0, len(cand))), len(cand) - 1)
+            chosen.append(cand[idx])
+            used.update(cand[idx])
+        if len(chosen) == k:
+            return chosen
+    raise ConfigError("no draw")
+
+
+NAMES = [f"n{i}" for i in range(8)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(NAMES), st.sampled_from(NAMES))
+                .filter(lambda p: p[0] != p[1]), min_size=1, max_size=40, unique=True),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**32))
+def test_draw_disjoint_pairs_matches_filtered_list(eligible, k, seed):
+    eligible = tuple(eligible)
+    ref_rng, rng = RandomSource(seed), RandomSource(seed)
+    try:
+        expected = filtered_list_draw(eligible, k, ref_rng)
+    except ConfigError:
+        expected = None
+    try:
+        got = _draw_disjoint_pairs(eligible, _pair_positions(eligible), k, rng)
+    except ConfigError:
+        got = None
+    assert got == expected
+    # the same number of draws was taken
+    assert rng.random() == ref_rng.random()
+
+
+def test_draw_disjoint_pairs_matches_filtered_list_on_bundled_pairs():
+    eligible = load_bundled_topology("office_two_floor_20.topo").eligible_pairs(2)
+    positions = _pair_positions(eligible)
+    for seed in range(20):
+        ref_rng, rng = RandomSource(seed), RandomSource(seed)
+        for _ in range(5):
+            assert _draw_disjoint_pairs(eligible, positions, 7, rng) \
+                == filtered_list_draw(eligible, 7, ref_rng)

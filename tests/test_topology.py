@@ -2,7 +2,10 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import meshsim.topology
 from meshsim.errors import ConfigError
 from meshsim.topology import (
     DEFAULT_FLOOR_ATTENUATION_DB,
@@ -84,6 +87,22 @@ def test_all_problems_reported_at_once():
     assert "line 5: bad coordinates for node 'b'" in msg
     assert "line 6: loss references unknown node 'c'" in msg
     assert "line 7: loss of node 'a' to itself" in msg
+
+
+@pytest.mark.parametrize("line", [
+    "node b 0 nan 0",
+    "node b 0 0 inf",
+    "node b 0 -inf 5",
+    "floor-attenuation-db nan",
+    "floor-attenuation-db inf",
+    "loss a b nan",
+    "loss a b inf",
+])
+def test_non_finite_values_rejected_naming_line(line):
+    # a NaN loss would otherwise drop the link from the hop graph, since
+    # NaN <= limit is False
+    with pytest.raises(ConfigError, match=r"line 3: non-finite"):
+        topo("node a 0 0 0", line, "node c 0 10 0")
 
 
 def test_fewer_than_two_nodes_rejected():
@@ -192,3 +211,98 @@ def test_flood_reaches_all_bundled_subsets():
 def test_topology_node_placed_flag():
     assert TopologyNode("a", 0, 1.0, 2.0).placed
     assert not TopologyNode("a").placed
+
+
+# ------------------------------------------------- reference oracles (set-up)
+# The per-source spellings below are the definitions the component-based
+# set-up in topology.py must reproduce.
+
+def bfs(adj, src, forwarding=None):
+    """Hop counts from src; with `forwarding`, only src and its members forward."""
+    dist = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            if forwarding is not None and u != src and u not in forwarding:
+                continue
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+def oracle_eligible_pairs(t, min_hops):
+    adj = t.adjacency()
+    out = []
+    for a in t.node_ids:
+        dist = bfs(adj, a)
+        for b in t.node_ids:
+            d = dist.get(b)
+            if b != a and d is not None and d >= min_hops:
+                out.append((a, b))
+    return tuple(out)
+
+
+def oracle_flood_reaches_all(t, relays):
+    adj = t.adjacency()
+    return all(len(bfs(adj, src, relays)) == len(bfs(adj, src))
+               for src in t.node_ids)
+
+
+@st.composite
+def split_topologies(draw):
+    """Abstract nodes with `loss` lines, split into at least two components.
+
+    Node ids are listed in a drawn order, so node_ids order differs from
+    sorted order.  Links inside a group are drawn around the 85 dB edge
+    limit; links across groups are never edges.
+    """
+    n = draw(st.integers(min_value=3, max_value=11))
+    names = draw(st.permutations([f"n{i}" for i in range(n)]))
+    groups = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)
+                  .filter(lambda g: len(set(g)) >= 2))
+    lines = [HEADER] + [f"node {name}" for name in names]
+    for i, j in itertools.combinations(range(n), 2):
+        loss = 120.0
+        if groups[i] == groups[j]:
+            loss = draw(st.sampled_from([60.0, 80.0, 85.0, 86.0, 100.0]))
+        lines.append(f"loss {names[i]} {names[j]} {loss}")
+    return load_topology("\n".join(lines))
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_topologies(), st.integers(min_value=1, max_value=3))
+def test_eligible_pairs_match_per_source_oracle(t, min_hops):
+    assert t.eligible_pairs(min_hops) == oracle_eligible_pairs(t, min_hops)
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_topologies(), st.data())
+def test_flood_reaches_all_matches_per_source_oracle(t, data):
+    relays = data.draw(st.sets(st.sampled_from(t.node_ids)))
+    assert flood_reaches_all(t, relays) == oracle_flood_reaches_all(t, relays)
+
+
+def test_pair_losses_computed_once(monkeypatch):
+    calls = []
+    real = meshsim.topology.path_loss_db
+
+    def counting(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(meshsim.topology, "path_loss_db", counting)
+    t = load_bundled_topology("office_two_floor_20.topo")
+    t.loss_map()
+    t.adjacency(0.0)
+    t.eligible_pairs()
+    assert len(calls) == 20 * 19 // 2
+
+
+def test_loss_map_is_read_only():
+    t = load_bundled_topology("office_two_floor_20.topo")
+    with pytest.raises(TypeError):
+        t.loss_map()[("n01", "n02")] = 0.0
