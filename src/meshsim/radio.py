@@ -16,12 +16,12 @@ order, the frame's own RSSI and then, until one fails capture, each
 overlapping frame's RSSI not yet cached.  Every digest depends on that
 order; a change to the loop must keep it, or alter results on purpose.
 
-History is kept only as long as a pending resolution can need it.  Every
-frame starts no earlier than its registration, and a frame still waiting
-for resolution at time now ends at or after now, so it started no earlier
-than now minus the longest airtime registered so far.  A registered frame
-or transmit interval that ended more than that airtime before now cannot
-overlap it, nor any frame registered later, and is pruned.
+One deque of frames in registration order records what is on the air; half
+duplex and capture both read it.  A frame awaiting resolution at time now
+ends at or after now, so it started no earlier than now minus the longest
+airtime registered so far, and no frame starts before its registration.  A
+frame that ended more than that airtime before now can overlap neither it
+nor any later frame, and is pruned.
 
 Wire-format headers of the mesh stack are folded into the per-PHY frame
 overhead, so a frame's pdu_octets is just its payload size.
@@ -183,8 +183,8 @@ class Medium:
         self.engine = engine
         self.link = link
         self._receivers: dict = {}
-        self._channel_frames: dict[int, deque] = {c: deque() for c in ALL_CHANNELS}
-        self._tx_intervals: dict = {}
+        self._on_air: deque = deque()   # ChannelFrames in registration order
+        self._tx_end: dict = {}         # registered node -> end of its last frame
         self._candidates: dict = {}
         self._blackouts: list = []
         self._uniform_scan: tuple[int, int] | None = None
@@ -206,16 +206,16 @@ class Medium:
             raise ConfigError(f"duplicate radio registration for {node_id!r}")
         self._receivers[node_id] = _Receiver(
             node_id, scan_interval_us, scan_window_us, chan_rng, on_frame, on_rssi)
-        self._tx_intervals[node_id] = deque()
+        self._tx_end[node_id] = -math.inf
 
     def finalize(self, max_power_dbm: float) -> None:
         """Precompute per-transmitter candidate tuples of (rx, loss, receiver state).
 
         A receiver's state is one tuple shared by every transmitter's
-        candidates: its _Receiver, its tx-interval deque and the bound
-        generator step of its channel stream.
+        candidates: its _Receiver and the bound generator step of its
+        channel stream.
         """
-        state = {rx: (r, self._tx_intervals[rx], r.chan_rng.random)
+        state = {rx: (r, r.chan_rng.random)
                  for rx, r in self._receivers.items()}
         ids = list(self._receivers)
         for tx in ids:
@@ -248,19 +248,17 @@ class Medium:
         airtime = frame.end - frame.start
         if airtime > self._max_airtime_us:
             self._max_airtime_us = airtime
-        horizon = self.engine.now - self._max_airtime_us
-        intervals = self._tx_intervals.get(frame.transmitter)
-        if intervals is not None:  # virtual interferers are not registered nodes
-            if intervals and frame.start < intervals[-1][1]:
+        last_end = self._tx_end.get(frame.transmitter)
+        if last_end is not None:  # virtual interferers are not registered nodes
+            if frame.start < last_end:
                 raise AssertionError(
                     f"node {frame.transmitter!r} already transmitting at t={frame.start}")
-            intervals.append((frame.start, frame.end))
-            while intervals and intervals[0][1] < horizon:
-                intervals.popleft()
-        reg = self._channel_frames[frame.channel]
-        reg.append(frame)
-        while reg and reg[0].end < horizon:
-            reg.popleft()
+            self._tx_end[frame.transmitter] = frame.end
+        horizon = self.engine.now - self._max_airtime_us
+        on_air = self._on_air
+        on_air.append(frame)
+        while on_air and on_air[0].end < horizon:
+            on_air.popleft()
         if frame.kind is FrameKind.NOISE:
             return
         if self._uniform_scan is not None and frame.kind is not FrameKind.AUX \
@@ -285,36 +283,28 @@ class Medium:
         else:
             # a shared scan config was already checked by begin_transmission
             check_scan = self._uniform_scan is None
-        start, end = frame.start, frame.end
-        overlaps = [o for o in self._channel_frames[frame.channel]
-                    if o is not frame and o.start < end and start < o.end]
+        start, end, channel = frame.start, frame.end, frame.channel
+        concurrent = [o for o in self._on_air
+                      if o.start < end and start < o.end and o is not frame]
+        busy = {o.transmitter for o in concurrent}
+        overlaps = [o for o in concurrent if o.channel == channel]
         link = self.link
         rows = link.rows
         sigma = link.shadowing_sigma_db
         sens = link.sensitivity_dbm(frame.phy)
         capture = link.capture_db
         blackouts = self._blackouts
-        tx, channel, power = frame.transmitter, frame.channel, frame.power_dbm
+        tx, power = frame.transmitter, frame.power_dbm
         cache = frame.rssi_cache
         primary = channel >= 37
         noise = FrameKind.NOISE
         n_nl = n_bs = n_col = n_del = 0
-        for rx, loss, (receiver, intervals, rand) in candidates:
+        for rx, loss, (receiver, rand) in candidates:
             if check_scan and not _scanner_catches(
                     receiver.scan_interval_us, receiver.scan_window_us, frame):
                 n_nl += 1
                 continue
-            # half duplex: the receiver transmitted during the frame.  Its
-            # intervals are sorted and disjoint, so the walk back from the
-            # newest stops at the first that ended by the frame's start.
-            busy = False
-            for s, e in reversed(intervals):
-                if e <= start:
-                    break
-                if s < end:
-                    busy = True
-                    break
-            if busy:
+            if rx in busy:      # half duplex: rx transmitted during the frame
                 n_nl += 1
                 continue
             rssi = cache.get(rx)

@@ -25,7 +25,7 @@ from .radio import (
     LinkModel,
     Medium,
 )
-from .scenario import GROUP_ADDRESS, ScenarioConfig, build_traffic
+from .scenario import GROUP_ADDRESS, ScenarioConfig, build_traffic, ms_to_us
 from .stack import Node, NodeParams, group, unicast
 from .topology import Topology, flood_reaches_all
 from .tuning import PowerControlConfig, select_relays
@@ -65,11 +65,11 @@ def node_params(cfg: ScenarioConfig, relay_enabled: bool) -> NodeParams:
         n_adv_events_source=cfg.n_adv_events_source,
         n_adv_events_relay=cfg.n_adv_events_relay,
         relay_buffer_cap=cfg.relay_buffer_cap,
-        adv_interval_us=round(cfg.adv_interval_ms * 1000),
-        adv_delay_max_us=round(cfg.adv_delay_max_ms * 1000),
-        scan_interval_us=round(cfg.scan_interval_ms * 1000),
-        scan_window_us=round(cfg.scan_window_resolved_ms * 1000),
-        retry_interval_us=round(cfg.retry_interval_ms * 1000),
+        adv_interval_us=ms_to_us(cfg.adv_interval_ms),
+        adv_delay_max_us=ms_to_us(cfg.adv_delay_max_ms),
+        scan_interval_us=ms_to_us(cfg.scan_interval_ms),
+        scan_window_us=ms_to_us(cfg.scan_window_resolved_ms),
+        retry_interval_us=ms_to_us(cfg.retry_interval_ms),
         retry_cap=cfg.retry_cap,
         default_ttl=cfg.default_ttl,
         guard_us=round(cfg.guard_s * 1_000_000),

@@ -35,6 +35,11 @@ _MODE_ALIASES = {"unicast": "unicast-acked", "group": "group-acked-fixed"}
 _MM_SUGAR = re.compile(r"^many-to-many\((\d+)\)$")
 
 
+def ms_to_us(ms: float) -> int:
+    """The simulator's integer µs for a scenario time in ms."""
+    return round(ms * 1000)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     pattern: str = "many-to-many"
@@ -46,7 +51,6 @@ class ScenarioConfig:
     jitter_ms: float = 0.0
     controller: str | None = None
     slaves: tuple[str, ...] = ()
-    seed: int = 1
     adv_interval_ms: float = 20.0
     adv_delay_max_ms: float = 10.0
     scan_interval_ms: float = 2000.0
@@ -96,7 +100,6 @@ class ScenarioConfig:
         check(self.iterations >= 1, "iterations: must be >= 1")
         check(self.period_ms > 0, "period_ms: must be > 0")
         check(self.jitter_ms >= 0, "jitter_ms: must be >= 0")
-        check(self.seed >= 0, "seed: must be >= 0")
         check(self.adv_interval_ms > 0, "adv_interval_ms: must be > 0")
         check(self.adv_delay_max_ms >= 0, "adv_delay_max_ms: must be >= 0")
         check(self.scan_interval_ms > 0, "scan_interval_ms: must be > 0")
@@ -123,6 +126,13 @@ class ScenarioConfig:
               "power_control.floor_dbm: above tx_power_dbm")
         check(self.interference_rate_per_s >= 0,
               "interference_rate_per_s: must be >= 0")
+        # a positive time that rounds to 0 µs stalls or divides by zero
+        for name, ms in (("adv_interval_ms", self.adv_interval_ms),
+                         ("scan_interval_ms", self.scan_interval_ms),
+                         ("scan_window_ms", self.scan_window_resolved_ms),
+                         ("retry_interval_ms", self.retry_interval_ms)):
+            check(not 0 < ms < math.inf or ms_to_us(ms) >= 1,
+                  f"{name}: {ms} ms rounds to less than 1 µs")
 
         if self.pattern in ("one-to-many", "many-to-one"):
             check(self.controller is not None,
@@ -204,7 +214,6 @@ _KEYS: dict[str, tuple[str, object, bool]] = {
     "jitter_ms": ("jitter_ms", _parse_float, False),
     "controller": ("controller", _parse_str, False),
     "slaves": ("slaves", _parse_slaves, True),
-    "seed": ("seed", _parse_int, False),
     "adv_interval_ms": ("adv_interval_ms", _parse_float, False),
     "adv_delay_max_ms": ("adv_delay_max_ms", _parse_float, False),
     "scan_interval_ms": ("scan_interval_ms", _parse_float, False),
@@ -372,10 +381,10 @@ def build_traffic(topology: Topology, cfg: ScenarioConfig,
                   rng: RandomSource) -> tuple[ScheduledSend, ...]:
     """Expand a scenario into per-message sends, sorted by time."""
     cfg.validate()
-    period_us = round(cfg.period_ms * 1000)
+    period_us = ms_to_us(cfg.period_ms)
     sends: list[tuple[int, str, str | None, int | None]] = []
 
-    jitter_us = round(cfg.jitter_ms * 1000)
+    jitter_us = ms_to_us(cfg.jitter_ms)
 
     def iteration_start(m: int) -> int:
         # one offset per iteration: sends inside an iteration stay

@@ -101,13 +101,15 @@ def test_golden_digest_grid100_half_relays():
 
 def test_golden_digest_under_any_hash_seed():
     # str hashing is salted per process, so set and dict-keyed state must
-    # never decide event order; run mm3 in fresh interpreters to check
+    # never decide event order; run mm3 in fresh interpreters to check.
+    # One of them runs under -O, which strips assert statements, so no
+    # result may depend on one.
     code = ("import sys; sys.path[:0] = sys.argv[1:3]; import test_golden as g; "
             "print(g.run_digest(*g.MM3))")
     paths = [str(Path(meshsim.__file__).resolve().parent.parent),
              str(Path(__file__).resolve().parent)]
-    for hash_seed in ("0", "4242"):
-        out = subprocess.run([sys.executable, "-c", code, *paths],
+    for hash_seed, flags in (("0", ()), ("4242", ("-O",))):
+        out = subprocess.run([sys.executable, *flags, "-c", code, *paths],
                              env={**os.environ, "PYTHONHASHSEED": hash_seed},
                              capture_output=True, text=True, timeout=300, check=True)
-        assert out.stdout.strip() == GOLDEN[MM3], hash_seed
+        assert out.stdout.strip() == GOLDEN[MM3], (hash_seed, flags)

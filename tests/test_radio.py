@@ -369,10 +369,13 @@ def test_reception_oracle_three_frames():
             frozenset(("a", "c")): lb,
             frozenset(("b", "c")): lc,
         }
-        for s2, s3 in itertools.product((0, 150, 300, 600), repeat=2):
+        # a third frame on channel 38 is never heard, but its transmitter
+        # is still deaf to the others (half duplex), and capture ignores it
+        for s2, s3, ch3 in itertools.product((0, 150, 300, 600),
+                                             (0, 150, 300, 600), (37, 38)):
             frames = [
                 ("a", 37, 0.0, 0, 11),
                 ("b", 37, -9.0, s2, 11),
-                ("c", 37, 0.0, s3, 11),
+                ("c", ch3, 0.0, s3, 11),
             ]
             assert run_impl(nodes, frames, loss) == expected(nodes, frames, loss)

@@ -135,6 +135,18 @@ def test_every_float_field_must_be_finite(name, value):
     assert f"{name}: must be finite" in cfg.problems()
 
 
+@pytest.mark.parametrize("body,path", [
+    (("adv_interval_ms 0.0004",), "adv_interval_ms"),
+    (("scan_interval_ms 0.0004", "scan_window_ms 0.0004"), "scan_interval_ms"),
+    (("scan_window_ms 0.0004",), "scan_window_ms"),
+    (("scan_interval_ms 30.0004",), "scan_window_ms"),  # interval - turnaround
+    (("retry_interval_ms 0.0004",), "retry_interval_ms"),
+])
+def test_times_rounding_below_one_us_rejected(body, path):
+    with pytest.raises(ConfigError, match=f"{path}: .* rounds to less than 1 µs"):
+        scn(*body)
+
+
 def test_scan_window_defaults_to_interval_minus_turnaround():
     cfg = scn()
     assert cfg.scan_window_ms is None
@@ -197,7 +209,7 @@ def test_override_unknown_key_names_override():
 @pytest.mark.parametrize("cfg", [
     ScenarioConfig(),
     ScenarioConfig(pattern="one-to-many", mode="group-acked-fixed",
-                   controller="n01", slaves=("n05", "n08"), seed=9),
+                   controller="n01", slaves=("n05", "n08")),
     ScenarioConfig(senders=7, adv_interval_ms=10.0, scan_interval_ms=1000.0,
                    extended=True, power_control=True,
                    power_control_zeta_th_dbm=-80.0, relay_fraction=0.5),
