@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError
 
 CSV_COLUMNS = (
@@ -293,6 +291,8 @@ def compare(baseline_by_seed: dict, variant_by_seed: dict, kind: str = "one-way"
             resamples: int = 10_000, min_seeds: int = 5,
             rng_seed: int = 0x5EED) -> CompareResult:
     """Percent change of mean latency with a bootstrap 95% CI over per-seed means."""
+    import numpy as np  # only the bootstrap needs it; runs never pay its import
+
     if len(baseline_by_seed) < min_seeds or len(variant_by_seed) < min_seeds:
         raise ConfigError(
             f"compare needs at least {min_seeds} seeds per arm, got "

@@ -28,7 +28,7 @@ overhead, so a frame's pdu_octets is just its payload size.
 """
 
 import math
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -64,9 +64,15 @@ def path_loss_db(
     exponent: float = 2.7,
     ref_distance_m: float = 1.0,
 ) -> float:
-    """Log-distance path loss; shadowing is added separately per frame."""
+    """Log-distance path loss; shadowing is added separately per frame.
+
+    Distances below the reference distance get the reference loss: the
+    log-distance law holds only in the far field.
+    """
     if distance_m <= 0:
         raise ConfigError(f"path loss of non-positive distance {distance_m}")
+    if distance_m < ref_distance_m:
+        distance_m = ref_distance_m
     return ref_loss_db + 10.0 * exponent * math.log10(distance_m / ref_distance_m)
 
 
@@ -116,9 +122,13 @@ class ChannelFrame:
 
 
 class LinkModel:
-    """Pairwise propagation state: symmetric loss rows plus per-frame shadowing."""
+    """Pairwise propagation state: symmetric loss rows plus per-frame shadowing.
 
-    def __init__(self, loss: dict, *, shadowing_sigma_db: float = 4.0,
+    `rows[tx][rx]` is the loss in dB from tx to rx; it is kept as given,
+    not copied, so the caller's table must be symmetric and stay unchanged.
+    """
+
+    def __init__(self, rows, *, shadowing_sigma_db: float = 4.0,
                  capture_db: float = 10.0,
                  sensitivity_dbm: dict | None = None):
         if capture_db <= 0:
@@ -128,30 +138,10 @@ class LinkModel:
         self.shadowing_sigma_db = shadowing_sigma_db
         self.capture_db = capture_db
         self.sensitivity = dict(sensitivity_dbm or {PHY_1M.name: -90.0, PHY_2M.name: -85.0})
-        rows = defaultdict(dict)
-        for (a, b), v in loss.items():
-            other = loss.get((b, a))
-            if other is not None and other != v:
-                raise ConfigError(f"asymmetric loss for pair ({a}, {b}): {v} vs {other}")
-            rows[a][b] = v
-            rows[b][a] = v
-        self.rows = dict(rows)         # rows[tx][rx] -> loss in dB
+        self.rows = rows
 
     def sensitivity_dbm(self, phy: PhyMode) -> float:
         return self.sensitivity[phy.name]
-
-    def nodes_heard_from(self, tx, candidates, max_power_dbm: float):
-        """Receivers whose mean RSSI can plausibly clear sensitivity (6-sigma slack)."""
-        floor = min(self.sensitivity.values())
-        slack = 6.0 * self.shadowing_sigma_db
-        row = self.rows.get(tx, {})
-        out = []
-        for rx in candidates:
-            if rx == tx:
-                continue
-            if max_power_dbm - row[rx] >= floor - slack:
-                out.append((rx, row[rx]))
-        return out
 
 
 class _Receiver:
@@ -211,17 +201,22 @@ class Medium:
     def finalize(self, max_power_dbm: float) -> None:
         """Precompute per-transmitter candidate tuples of (rx, loss, receiver state).
 
-        A receiver's state is one tuple shared by every transmitter's
-        candidates: its _Receiver and the bound generator step of its
-        channel stream.
+        A transmitter's candidates are the other registered receivers, in
+        registration order, whose mean RSSI at max_power_dbm can plausibly
+        clear the lowest sensitivity (6-sigma slack).  A receiver's state is
+        one tuple shared by every transmitter's candidates: its _Receiver and
+        the bound generator step of its channel stream.
         """
-        state = {rx: (r, r.chan_rng.random)
-                 for rx, r in self._receivers.items()}
-        ids = list(self._receivers)
-        for tx in ids:
-            self._candidates[tx] = tuple(
-                (rx, loss, state[rx])
-                for rx, loss in self.link.nodes_heard_from(tx, ids, max_power_dbm))
+        link = self.link
+        floor = min(link.sensitivity.values())
+        slack = 6.0 * link.shadowing_sigma_db
+        state = [(rx, (r, r.chan_rng.random))
+                 for rx, r in self._receivers.items()]
+        for tx in self._receivers:
+            row = link.rows[tx]
+            self._candidates[tx] = tuple([
+                (rx, loss, st) for rx, st in state
+                if rx != tx and max_power_dbm - (loss := row[rx]) >= floor - slack])
         scans = {(r.scan_interval_us, r.scan_window_us)
                  for r in self._receivers.values()}
         # a shared scan config lets begin_transmission test the channel once per frame

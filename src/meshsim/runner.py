@@ -25,7 +25,7 @@ from .radio import (
     LinkModel,
     Medium,
 )
-from .scenario import GROUP_ADDRESS, ScenarioConfig, build_traffic, ms_to_us
+from .scenario import GROUP_ADDRESS, ScenarioConfig, build_traffic, ms_to_us, s_to_us
 from .stack import Node, NodeParams, group, unicast
 from .topology import Topology, flood_reaches_all
 from .tuning import PowerControlConfig, select_relays
@@ -72,7 +72,7 @@ def node_params(cfg: ScenarioConfig, relay_enabled: bool) -> NodeParams:
         retry_interval_us=ms_to_us(cfg.retry_interval_ms),
         retry_cap=cfg.retry_cap,
         default_ttl=cfg.default_ttl,
-        guard_us=round(cfg.guard_s * 1_000_000),
+        guard_us=s_to_us(cfg.guard_s),
         extended=cfg.extended,
         power_control=pc)
 
@@ -114,13 +114,10 @@ def run_experiment(topology: Topology, cfg: ScenarioConfig, seed: int) -> RunRes
     schedule = build_traffic(topology, cfg, root.stream("traffic"))
     relays = choose_relays(topology, cfg, root.stream("relays"))
 
-    loss = topology.loss_map()
-    if cfg.interference_rate_per_s > 0:
-        loss = {**loss, **dict.fromkeys(
-            ((ENV_TRANSMITTER, nid) for nid in topology.node_ids), 0.0)}
-
     engine = Engine()
-    medium = Medium(engine, LinkModel(loss))
+    # noise frames reach every receiver at the interference power, so the
+    # env interferer needs no loss row
+    medium = Medium(engine, LinkModel(topology.loss_rows()))
     addr = {nid: i + 1 for i, nid in enumerate(topology.node_ids)}
     directory = {v: nid for nid, v in addr.items()}
     groups = {GROUP_ADDRESS: tuple(cfg.slaves)} \
@@ -145,7 +142,7 @@ def run_experiment(topology: Topology, cfg: ScenarioConfig, seed: int) -> RunRes
         engine.schedule(s.time_us, nodes[s.source].publish, dst, payload,
                         stack_mode, s.app_msg_id)
     if cfg.interference_rate_per_s > 0:
-        horizon = schedule[-1].time_us + round(cfg.guard_s * 1e6)
+        horizon = schedule[-1].time_us + s_to_us(cfg.guard_s)
         _schedule_interference(engine, medium, cfg,
                                root.stream("interference"), horizon)
 

@@ -40,6 +40,11 @@ def ms_to_us(ms: float) -> int:
     return round(ms * 1000)
 
 
+def s_to_us(s: float) -> int:
+    """The simulator's integer µs for a scenario time in s."""
+    return round(s * 1_000_000)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     pattern: str = "many-to-many"
@@ -126,13 +131,18 @@ class ScenarioConfig:
               "power_control.floor_dbm: above tx_power_dbm")
         check(self.interference_rate_per_s >= 0,
               "interference_rate_per_s: must be >= 0")
-        # a positive time that rounds to 0 µs stalls or divides by zero
-        for name, ms in (("adv_interval_ms", self.adv_interval_ms),
-                         ("scan_interval_ms", self.scan_interval_ms),
-                         ("scan_window_ms", self.scan_window_resolved_ms),
-                         ("retry_interval_ms", self.retry_interval_ms)):
-            check(not 0 < ms < math.inf or ms_to_us(ms) >= 1,
-                  f"{name}: {ms} ms rounds to less than 1 µs")
+        # a positive time that rounds to 0 µs stalls, divides by zero or
+        # collapses a schedule onto one instant
+        for name, value, to_us in (
+                ("period_ms", self.period_ms, ms_to_us),
+                ("jitter_ms", self.jitter_ms, ms_to_us),
+                ("adv_interval_ms", self.adv_interval_ms, ms_to_us),
+                ("scan_interval_ms", self.scan_interval_ms, ms_to_us),
+                ("scan_window_ms", self.scan_window_resolved_ms, ms_to_us),
+                ("retry_interval_ms", self.retry_interval_ms, ms_to_us),
+                ("guard_s", self.guard_s, s_to_us)):
+            check(not 0 < value < math.inf or to_us(value) >= 1,
+                  f"{name}: {value} rounds to less than 1 µs")
 
         if self.pattern in ("one-to-many", "many-to-one"):
             check(self.controller is not None,
@@ -292,7 +302,10 @@ def scenario_from_raw(raw: _RawMap) -> ScenarioConfig:
                 errors.append(
                     "senders: given both as a key and inside the pattern")
             kwargs["pattern"] = "many-to-many"
-            kwargs["senders"] = int(m.group(1))
+            try:
+                kwargs["senders"] = _parse_int(m.groups())
+            except ValueError as exc:   # past int()'s digit limit
+                errors.append(f"pattern: {exc}")
 
     if errors:
         raise ConfigError("invalid scenario:\n  " + "\n  ".join(errors))

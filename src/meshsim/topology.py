@@ -9,12 +9,20 @@ Format (UTF-8, line oriented, ``#`` comments)::
     loss <a> <b> <dB>              # pairwise override, symmetric
 
 Coordinate pairs get log-distance path loss over the 3-D separation (floors
-are 3 m apart) plus the per-floor attenuation once per floor crossed.  Any
+are 3 m apart; pairs closer than the 1 m reference distance get the
+reference loss) plus the per-floor attenuation once per floor crossed.  Any
 pair involving an abstract node must be covered by a ``loss`` line.
+
+The losses live in one symmetric row table, ``rows[a][b]``, filled in a
+single pass over unordered pairs the first time a loss is needed.  The hop
+graph, ``loss_map`` and the radio's ``LinkModel`` all read that table; none
+copies it.  Loading checks only the pairs that can fail: those with an
+abstract node, and nodes found sharing a position through a dict.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -52,6 +60,27 @@ def _pair(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
+class _PairView(Mapping):
+    """Read-only view of a row table keyed by ordered pairs (a, b)."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: dict[str, dict[str, float]]):
+        self._rows = rows
+
+    def __getitem__(self, key: tuple[str, str]) -> float:
+        a, b = key
+        return self._rows[a][b]
+
+    def __iter__(self):
+        for a, row in self._rows.items():
+            for b in row:
+                yield a, b
+
+    def __len__(self) -> int:
+        return sum(map(len, self._rows.values()))
+
+
 class Topology:
     """Immutable node set with a total pairwise loss function."""
 
@@ -60,7 +89,7 @@ class Topology:
         self.nodes: dict[str, TopologyNode] = dict(nodes)
         self.floor_attenuation_db = float(floor_attenuation_db)
         self.overrides: dict[tuple[str, str], float] = dict(overrides or {})
-        self._losses: dict[tuple[str, str], float] | None = None
+        self._rows: dict[str, dict[str, float]] | None = None
         self._adjacency: dict[float, dict[str, tuple[str, ...]]] = {}
 
     @property
@@ -73,45 +102,50 @@ class Topology:
                 raise ConfigError(f"unknown node {nid!r}")
         if a == b:
             raise ConfigError(f"path loss of node {a!r} to itself")
-        return self._pair_loss(a, b)
+        return self.loss_rows()[a][b]
 
-    def _pair_loss(self, a: str, b: str) -> float:
-        key = _pair(a, b)
-        if key in self.overrides:
-            return self.overrides[key]
-        na, nb = self.nodes[a], self.nodes[b]
-        dfloors = abs(na.floor - nb.floor)
-        d = math.hypot(na.x - nb.x, na.y - nb.y, FLOOR_HEIGHT_M * dfloors)
-        return path_loss_db(d) + self.floor_attenuation_db * dfloors
+    def loss_rows(self) -> dict[str, dict[str, float]]:
+        """rows[a][b]: loss in dB from a to every other node b; built once.
+
+        The table is symmetric and each row lists the other nodes in
+        node_ids order.  It is shared with every caller, who must not
+        change it.
+        """
+        if self._rows is None:
+            over: dict[str, dict[str, float]] = {}
+            for (a, b), v in self.overrides.items():
+                over.setdefault(a, {})[b] = v
+                over.setdefault(b, {})[a] = v
+            ids = self.node_ids
+            rows: dict[str, dict[str, float]] = {a: {} for a in ids}
+            att = self.floor_attenuation_db
+            # per node, in node_ids order: (id, floor, x, y, row)
+            table = [(a, n.floor, n.x, n.y, rows[a])
+                     for a, n in self.nodes.items()]
+            for i, (a, fa, xa, ya, row) in enumerate(table):
+                fixed = over.get(a, {})
+                for b, fb, xb, yb, row_b in table[i + 1:]:
+                    v = fixed.get(b)
+                    if v is None:
+                        dfloors = abs(fa - fb)
+                        d = math.hypot(xa - xb, ya - yb, FLOOR_HEIGHT_M * dfloors)
+                        v = path_loss_db(d) + att * dfloors
+                    row[b] = row_b[a] = v
+            self._rows = rows
+        return self._rows
 
     def loss_map(self) -> Mapping[tuple[str, str], float]:
-        """Loss for every ordered pair; symmetric, built once, read-only."""
-        if self._losses is None:
-            out: dict[tuple[str, str], float] = {}
-            ids = self.node_ids
-            for i, a in enumerate(ids):
-                for b in ids[i + 1:]:
-                    v = self._pair_loss(a, b)
-                    out[(a, b)] = v
-                    out[(b, a)] = v
-            self._losses = out
-        return MappingProxyType(self._losses)
+        """Loss for every ordered pair; a read-only view of loss_rows()."""
+        return _PairView(self.loss_rows())
 
     def adjacency(self, tx_power_dbm: float = 0.0) -> Mapping[str, tuple[str, ...]]:
         """Hop-graph neighbours of every node; built once per power, read-only."""
         neigh = self._adjacency.get(tx_power_dbm)
         if neigh is None:
             limit = tx_power_dbm - (EDGE_SENSITIVITY_DBM + EDGE_MARGIN_DB)
-            loss = self.loss_map()
-            ids = self.node_ids
-            lists: dict[str, list[str]] = {n: [] for n in ids}
-            for i, a in enumerate(ids):
-                for b in ids[i + 1:]:
-                    if loss[(a, b)] <= limit:
-                        lists[a].append(b)
-                        lists[b].append(a)
             neigh = self._adjacency[tx_power_dbm] = {
-                n: tuple(v) for n, v in lists.items()}
+                a: tuple(b for b, v in row.items() if v <= limit)
+                for a, row in self.loss_rows().items()}
         return MappingProxyType(neigh)
 
     def hop_distance(self, a: str, b: str, tx_power_dbm: float = 0.0) -> float:
@@ -310,19 +344,32 @@ def load_topology(text: str) -> Topology:
     if len(nodes) < 2:
         errors.append(f"topology needs at least 2 nodes, found {len(nodes)}")
 
+    # a pair needs a loss line when a node lacks coordinates, and distinct
+    # positions otherwise; only pairs that can break either rule are
+    # visited, (i, j) being the nodes' order in the document
     ids = list(nodes)
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            if _pair(a, b) in overrides:
-                continue
-            na, nb = nodes[a], nodes[b]
-            if not (na.placed and nb.placed):
-                errors.append(
-                    f"pair ({a},{b}) has no loss entry and "
-                    f"{'both nodes lack' if not (na.placed or nb.placed) else 'one node lacks'}"
-                    " coordinates")
-            elif (na.floor, na.x, na.y) == (nb.floor, nb.x, nb.y):
-                errors.append(f"nodes {a!r} and {b!r} share the same position")
+    suspects: set[tuple[int, int]] = set()
+    at: dict[tuple[int, float, float], list[int]] = {}
+    for i, n in enumerate(nodes.values()):
+        if n.placed:
+            at.setdefault((n.floor, n.x, n.y), []).append(i)
+        else:
+            suspects.update((min(i, j), max(i, j))
+                            for j in range(len(ids)) if j != i)
+    for group in at.values():
+        suspects.update(itertools.combinations(group, 2))
+    for i, j in sorted(suspects):
+        a, b = ids[i], ids[j]
+        if _pair(a, b) in overrides:
+            continue
+        na, nb = nodes[a], nodes[b]
+        if not (na.placed and nb.placed):
+            errors.append(
+                f"pair ({a},{b}) has no loss entry and "
+                f"{'both nodes lack' if not (na.placed or nb.placed) else 'one node lacks'}"
+                " coordinates")
+        else:
+            errors.append(f"nodes {a!r} and {b!r} share the same position")
 
     if errors:
         raise ConfigError("invalid topology:\n  " + "\n  ".join(errors))

@@ -1,9 +1,14 @@
 """Record bookkeeping, aggregation, file formats, bootstrap comparison."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import meshsim
 from meshsim.errors import ConfigError
 from meshsim.metrics import (
     DELIVERED,
@@ -180,3 +185,16 @@ def test_compare_reproducible():
     second = compare(base, var, "one-way")
     assert (first.ci_low, first.ci_high) == (second.ci_low, second.ci_high)
     assert first.ci_low < first.pct_change < first.ci_high
+
+
+def test_runs_do_not_import_numpy():
+    # only compare's bootstrap needs numpy; a fresh interpreter shows what
+    # importing the run path loads
+    code = ("import sys, meshsim.runner, meshsim.metrics; "
+            "print('numpy' in sys.modules)")
+    src = str(Path(meshsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

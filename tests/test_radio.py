@@ -24,9 +24,18 @@ from meshsim.radio import (
 CONTINUOUS = 10**9  # scan interval long enough that t stays in the first window
 
 
+def loss_rows(losses):
+    """Symmetric rows[a][b] table from a {(a, b): dB} dict."""
+    rows = {}
+    for (a, b), v in losses.items():
+        rows.setdefault(a, {})[b] = v
+        rows.setdefault(b, {})[a] = v
+    return rows
+
+
 def make_medium(losses, sigma=0.0, capture=10.0, scan_interval=CONTINUOUS, scan_window=None):
     eng = Engine()
-    link = LinkModel(losses, shadowing_sigma_db=sigma, capture_db=capture)
+    link = LinkModel(loss_rows(losses), shadowing_sigma_db=sigma, capture_db=capture)
     med = Medium(eng, link)
     nodes = sorted({n for pair in losses for n in pair})
     delivered = []
@@ -59,8 +68,13 @@ def test_airtime_monotonic_in_octets(n):
 def test_path_loss_reference_points():
     assert path_loss_db(1.0) == pytest.approx(40.0)
     assert path_loss_db(10.0) == pytest.approx(67.0)
+    # inside the reference distance the loss stays at the reference loss
+    assert path_loss_db(0.5) == 40.0
+    assert path_loss_db(1e-7) == 40.0
     with pytest.raises(ConfigError):
         path_loss_db(0.0)
+    with pytest.raises(ConfigError):
+        path_loss_db(-1.0)
 
 
 def test_frame_channel_kind_validation():
@@ -72,14 +86,33 @@ def test_frame_channel_kind_validation():
     assert f.end - f.start == airtime_us(11, PHY_1M)
 
 
-def test_asymmetric_matrix_rejected():
-    with pytest.raises(ConfigError):
-        LinkModel({("a", "b"): 60.0, ("b", "a"): 61.0})
-
-
 def test_capture_threshold_must_be_positive():
     with pytest.raises(ConfigError):
-        LinkModel({("a", "b"): 60.0}, capture_db=0.0)
+        LinkModel(loss_rows({("a", "b"): 60.0}), capture_db=0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_candidates_match_per_pair_prune(data):
+    # the parent's per-pair spelling: every other receiver in registration
+    # order whose mean RSSI clears the lowest sensitivity less 6 sigma
+    names = data.draw(st.permutations(["a", "b", "c", "d", "e"]))
+    losses = {(a, b): data.draw(st.sampled_from([100.0, 113.9, 114.0, 114.1, 130.0]))
+              for a, b in itertools.combinations(sorted(names), 2)}
+    power = data.draw(st.sampled_from([0.0, -0.5]))
+    rows = loss_rows(losses)
+    med = Medium(Engine(), LinkModel(rows, shadowing_sigma_db=4.0))
+    root = RandomSource(1)
+    for n in names:
+        med.register(n, CONTINUOUS, CONTINUOUS, root.stream(n), lambda f, r: None)
+    med.finalize(power)
+    floor = min(med.link.sensitivity.values())
+    for tx in names:
+        expected = [(rx, rows[tx][rx]) for rx in names
+                    if rx != tx and power - rows[tx][rx] >= floor - 6.0 * 4.0]
+        got = med._candidates[tx]
+        assert [(rx, loss) for rx, loss, _ in got] == expected
+        assert all(state[0] is med._receivers[rx] for rx, _, state in got)
 
 
 def test_lone_frame_delivered_to_scanning_neighbors():
@@ -175,8 +208,8 @@ def test_duty_cycled_window_idles_late_in_interval():
 def test_scan_config_checked_per_receiver():
     # b scans continuously; c listens for 2 ms of every 10 ms interval
     eng = Engine()
-    med = Medium(eng, LinkModel(
-        {("a", "b"): 60.0, ("a", "c"): 60.0, ("b", "c"): 60.0}, shadowing_sigma_db=0.0))
+    med = Medium(eng, LinkModel(loss_rows(
+        {("a", "b"): 60.0, ("a", "c"): 60.0, ("b", "c"): 60.0}), shadowing_sigma_db=0.0))
     delivered = []
     root = RandomSource(3)
     for n, interval, window in (("a", CONTINUOUS, CONTINUOUS),
@@ -310,12 +343,8 @@ def run_impl(nodes, frames, loss):
     A pair is delivered when on_frame fires and collided when on_rssi fires
     without on_frame (the frame cleared sensitivity but lost on capture).
     """
-    pair_loss = {}
-    for key, v in loss.items():
-        a, b = sorted(key)
-        pair_loss[(a, b)] = v
     eng = Engine()
-    link = LinkModel(pair_loss, shadowing_sigma_db=0.0, capture_db=CAPTURE)
+    link = LinkModel(loss_rows(loss), shadowing_sigma_db=0.0, capture_db=CAPTURE)
     med = Medium(eng, link)
     index = {}                  # ChannelFrame -> its position in `frames`
     resolving = []              # frames in the order the medium resolves them

@@ -2,7 +2,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meshsim.engine import RandomSource
@@ -16,6 +16,7 @@ from meshsim.scenario import (
     load_scenario,
     read_scenario_document,
     scenario_to_document,
+    _KEYS,
     _draw_disjoint_pairs,
     _pair_positions,
 )
@@ -141,6 +142,9 @@ def test_every_float_field_must_be_finite(name, value):
     (("scan_window_ms 0.0004",), "scan_window_ms"),
     (("scan_interval_ms 30.0004",), "scan_window_ms"),  # interval - turnaround
     (("retry_interval_ms 0.0004",), "retry_interval_ms"),
+    (("period_ms 0.0004",), "period_ms"),
+    (("jitter_ms 0.0004",), "jitter_ms"),
+    (("guard_s 0.0000004",), "guard_s"),
 ])
 def test_times_rounding_below_one_us_rejected(body, path):
     with pytest.raises(ConfigError, match=f"{path}: .* rounds to less than 1 µs"):
@@ -393,3 +397,31 @@ def test_draw_disjoint_pairs_matches_filtered_list_on_bundled_pairs():
         for _ in range(5):
             assert _draw_disjoint_pairs(eligible, positions, 7, rng) \
                 == filtered_list_draw(eligible, 7, ref_rng)
+
+
+SCENARIO_VALUES = ["0", "-1", "1", "3", "0.0004", "1e400", "nan", "-inf", "on",
+                   "off", "many-to-many(3)", "one-to-many", "group", "n01",
+                   "9" * 5000, "#", "\u00e9", "\u2028"]
+
+
+@st.composite
+def scenario_texts(draw):
+    """Lines of known or random keys with random values, mostly after the header."""
+    lines = [draw(st.sampled_from([HEADER, HEADER, HEADER, "", "junk"]))]
+    for _ in range(draw(st.integers(0, 8))):
+        key = draw(st.one_of(st.sampled_from(sorted(_KEYS)), st.text(max_size=5)))
+        values = draw(st.lists(st.one_of(st.sampled_from(SCENARIO_VALUES),
+                                         st.text(max_size=5)), max_size=3))
+        lines.append(" ".join([key, *values]))
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), scenario_texts()),
+       st.lists(st.text(max_size=12), max_size=2))
+@example(HEADER + "\npattern many-to-many(" + "9" * 5000 + ")", [])
+def test_any_scenario_text_loads_or_raises_config_error(text, overrides):
+    try:
+        load_scenario(text, overrides)
+    except ConfigError:
+        pass

@@ -39,7 +39,10 @@ class World:
         if isinstance(loss, (int, float)):
             loss = {(a, b): float(loss)
                     for i, a in enumerate(names) for b in names[i + 1:]}
-        self.medium = Medium(self.engine, LinkModel(loss, shadowing_sigma_db=sigma))
+        rows = {n: {} for n in names}
+        for (a, b), v in loss.items():
+            rows[a][b] = rows[b][a] = v
+        self.medium = Medium(self.engine, LinkModel(rows, shadowing_sigma_db=sigma))
         self.addr = {n: i + 1 for i, n in enumerate(names)}
         directory = {v: n for n, v in self.addr.items()}
         self.collector = Collector(addr_to_node=directory)

@@ -2,16 +2,21 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import meshsim.topology
 from meshsim.errors import ConfigError
+from meshsim.radio import path_loss_db
+from meshsim.runner import run_experiment
+from meshsim.scenario import load_scenario
 from meshsim.topology import (
     DEFAULT_FLOOR_ATTENUATION_DB,
+    FLOOR_HEIGHT_M,
     UNREACHABLE,
     Topology,
     TopologyNode,
+    bundled_data_path,
     flood_reaches_all,
     load_bundled_topology,
     load_topology,
@@ -41,6 +46,11 @@ def test_cross_floor_adds_height_and_attenuation():
     # 3 m vertical separation plus one 15 dB floor crossing
     assert t.path_loss_db("a", "b") == pytest.approx(40 + 27 * math.log10(3) + 15)
     assert t.floor_attenuation_db == DEFAULT_FLOOR_ATTENUATION_DB
+
+
+def test_pair_inside_reference_distance_gets_reference_loss():
+    assert topo("node a 0 0 0", "node b 0 0.5 0").path_loss_db("a", "b") == 40.0
+    assert topo("node a 0 0 0", "node b 0 0 1e-7").path_loss_db("a", "b") == 40.0
 
 
 def test_floor_attenuation_override():
@@ -300,9 +310,123 @@ def test_pair_losses_computed_once(monkeypatch):
     t.adjacency(0.0)
     t.eligible_pairs()
     assert len(calls) == 20 * 19 // 2
+    # a run reads the same table
+    cfg = load_scenario(bundled_data_path("mm3.scn").read_text(encoding="utf-8"),
+                        ["iterations=1"])
+    run_experiment(t, cfg, 1)
+    assert len(calls) == 20 * 19 // 2
 
 
 def test_loss_map_is_read_only():
     t = load_bundled_topology("office_two_floor_20.topo")
     with pytest.raises(TypeError):
         t.loss_map()[("n01", "n02")] = 0.0
+
+
+# ----------------------------------------- reference oracles (checks, losses)
+# The parent's all-pairs spellings: load_topology visits only the pairs that
+# can fail a check, and loss_rows() fills the table in one pass.
+
+def oracle_pair_errors(nodes, overrides):
+    errors = []
+    ids = list(nodes)
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            if (min(a, b), max(a, b)) in overrides:
+                continue
+            na, nb = nodes[a], nodes[b]
+            if not (na.placed and nb.placed):
+                errors.append(
+                    f"pair ({a},{b}) has no loss entry and "
+                    f"{'both nodes lack' if not (na.placed or nb.placed) else 'one node lacks'}"
+                    " coordinates")
+            elif (na.floor, na.x, na.y) == (nb.floor, nb.x, nb.y):
+                errors.append(f"nodes {a!r} and {b!r} share the same position")
+    return errors
+
+
+def oracle_pair_loss(t, a, b):
+    key = (min(a, b), max(a, b))
+    if key in t.overrides:
+        return t.overrides[key]
+    na, nb = t.nodes[a], t.nodes[b]
+    dfloors = abs(na.floor - nb.floor)
+    d = math.hypot(na.x - nb.x, na.y - nb.y, FLOOR_HEIGHT_M * dfloors)
+    return path_loss_db(d) + t.floor_attenuation_db * dfloors
+
+
+@st.composite
+def checked_documents(draw):
+    """(document, nodes, overrides): abstract nodes, shared positions, partial loss lines.
+
+    Positions come from a small set, spelled several ways ("-0" equals
+    "0"), so nodes often share one.
+    """
+    n = draw(st.integers(min_value=1, max_value=8))
+    names = draw(st.permutations([f"n{i}" for i in range(n)]))
+    lines, nodes = [HEADER], {}
+    for name in names:
+        if draw(st.booleans()) and draw(st.booleans()):
+            lines.append(f"node {name}")
+            nodes[name] = TopologyNode(name)
+        else:
+            floor = draw(st.integers(0, 1))
+            x, y = (draw(st.sampled_from(["0", "-0", "0.5", "3", "3.0"]))
+                    for _ in range(2))
+            lines.append(f"node {name} {floor} {x} {y}")
+            nodes[name] = TopologyNode(name, floor, float(x), float(y))
+    overrides = {}
+    for a, b in itertools.combinations(names, 2):
+        if draw(st.booleans()):
+            v = draw(st.sampled_from([60.0, 85.0, 100.0]))
+            overrides[(min(a, b), max(a, b))] = v
+            for _ in range(draw(st.integers(1, 2))):
+                first, second = draw(st.permutations([a, b]))
+                lines.append(f"loss {first} {second} {v}")
+    return "\n".join(lines), nodes, overrides
+
+
+@settings(max_examples=200, deadline=None)
+@given(checked_documents())
+def test_load_topology_checks_match_all_pairs_oracle(case):
+    text, nodes, overrides = case
+    errors = [] if len(nodes) >= 2 else [
+        f"topology needs at least 2 nodes, found {len(nodes)}"]
+    errors += oracle_pair_errors(nodes, overrides)
+    if errors:
+        with pytest.raises(ConfigError) as exc:
+            load_topology(text)
+        assert str(exc.value) == "invalid topology:\n  " + "\n  ".join(errors)
+        return
+    t = load_topology(text)
+    rows = t.loss_rows()
+    assert list(rows) == list(t.node_ids)
+    for a in t.node_ids:
+        assert list(rows[a]) == [b for b in t.node_ids if b != a]
+        for b in rows[a]:
+            assert rows[a][b] == rows[b][a] == oracle_pair_loss(t, a, b)
+
+
+TOPOLOGY_TOKENS = ["node", "loss", "floor-attenuation-db", "a", "b", "c", "0",
+                   "-0", "1", "3.5", "-2", "1e400", "nan", "-inf", "0x10", "1_0",
+                   "9" * 5000, "#", "\u00e9", "\x0b", "\u2028"]
+
+
+@st.composite
+def fuzz_lines(draw, header, tokens):
+    """Text of random lines, mostly after a valid header."""
+    first = draw(st.sampled_from([header, header, header, "", "junk"]))
+    body = draw(st.lists(
+        st.lists(st.one_of(st.sampled_from(tokens), st.text(max_size=5)),
+                 max_size=6).map(" ".join), max_size=10))
+    return "\n".join([first, *body])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), fuzz_lines(HEADER, TOPOLOGY_TOKENS)))
+@example(HEADER + "\nnode a 0 0 0\nnode b " + "9" * 5000 + " 0 0")
+def test_any_topology_text_loads_or_raises_config_error(text):
+    try:
+        load_topology(text)
+    except ConfigError:
+        pass
