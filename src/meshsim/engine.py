@@ -84,25 +84,25 @@ class Engine:
     Events that share a fire time dispatch in insertion order, which keeps
     replays byte-identical.  A handle returned by schedule() can be passed
     to cancel(); cancelled events are skipped and not counted.
+
+    ``now`` is the virtual clock in µs.  It is a plain slot, read directly
+    on the per-frame path; only run() and run_until_idle() write it, and
+    callers must treat it as read-only.
     """
 
-    __slots__ = ("_heap", "_counter", "_now", "dispatched")
+    __slots__ = ("_heap", "_counter", "now", "dispatched")
 
     def __init__(self):
         self._heap: list[list] = []
         self._counter = 0
-        self._now = 0
+        self.now = 0
         self.dispatched = 0
-
-    @property
-    def now(self) -> int:
-        return self._now
 
     def schedule(self, fire_at: int, action, *args) -> list:
         """Queue action(*args) at fire_at (µs); returns a cancellable handle."""
-        if fire_at < self._now:
+        if fire_at < self.now:
             raise ConfigError(
-                f"cannot schedule event at t={fire_at} µs: clock already at {self._now} µs"
+                f"cannot schedule event at t={fire_at} µs: clock already at {self.now} µs"
             )
         entry = [fire_at, self._counter, action, args]
         self._counter += 1
@@ -110,7 +110,7 @@ class Engine:
         return entry
 
     def schedule_after(self, delay: int, action, *args) -> list:
-        return self.schedule(self._now + delay, action, *args)
+        return self.schedule(self.now + delay, action, *args)
 
     @staticmethod
     def cancel(handle: list) -> None:
@@ -124,8 +124,8 @@ class Engine:
         at `until` even when the queue empties early.  Returns the number of
         events dispatched.
         """
-        if until < self._now:
-            raise ConfigError(f"cannot run to t={until} µs: clock already at {self._now} µs")
+        if until < self.now:
+            raise ConfigError(f"cannot run to t={until} µs: clock already at {self.now} µs")
         count = 0
         heap = self._heap
         pop = heapq.heappop
@@ -133,10 +133,10 @@ class Engine:
             fire_at, _, action, args = pop(heap)
             if action is None:
                 continue
-            self._now = fire_at
+            self.now = fire_at
             action(*args)
             count += 1
-        self._now = until
+        self.now = until
         self.dispatched += count
         return count
 
@@ -149,7 +149,7 @@ class Engine:
             fire_at, _, action, args = pop(heap)
             if action is None:
                 continue
-            self._now = fire_at
+            self.now = fire_at
             action(*args)
             count += 1
             if max_events is not None and count >= max_events:

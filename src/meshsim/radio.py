@@ -83,6 +83,11 @@ class FrameKind(Enum):
     NOISE = "noise"      # background interferer, any channel
 
 
+# the members bound once: per-frame code compares kinds by identity against
+# these globals, as reading FrameKind.ADV goes through the enum class each time
+ADV, EXT_IND, AUX, NOISE = FrameKind.ADV, FrameKind.EXT_IND, FrameKind.AUX, FrameKind.NOISE
+
+
 class Outcome(Enum):
     DELIVERED = "delivered"
     NOT_LISTENING = "not-listening"
@@ -99,11 +104,11 @@ class ChannelFrame:
     )
 
     def __init__(self, transmitter, channel, phy, power_dbm, start, octets,
-                 kind=FrameKind.ADV, payload=None, eligible=None):
-        if kind in (FrameKind.ADV, FrameKind.EXT_IND):
+                 kind=ADV, payload=None, eligible=None):
+        if kind is ADV or kind is EXT_IND:
             if channel not in PRIMARY_CHANNELS:
                 raise ConfigError(f"{kind.value} frame on channel {channel}: primary channels only")
-        elif kind is FrameKind.AUX:
+        elif kind is AUX:
             if not 0 <= channel <= 36:
                 raise ConfigError(f"aux frame on channel {channel}: secondary channels only")
         elif channel not in ALL_CHANNELS:
@@ -199,23 +204,22 @@ class Medium:
         self._tx_end[node_id] = -math.inf
 
     def finalize(self, max_power_dbm: float) -> None:
-        """Precompute per-transmitter candidate tuples of (rx, loss, receiver state).
+        """Precompute per-transmitter candidate tuples of (rx, loss, receiver, rand).
 
         A transmitter's candidates are the other registered receivers, in
         registration order, whose mean RSSI at max_power_dbm can plausibly
-        clear the lowest sensitivity (6-sigma slack).  A receiver's state is
-        one tuple shared by every transmitter's candidates: its _Receiver and
-        the bound generator step of its channel stream.
+        clear the lowest sensitivity (6-sigma slack).  receiver is the
+        receiver's _Receiver and rand the bound generator step of its
+        channel stream.
         """
         link = self.link
         floor = min(link.sensitivity.values())
         slack = 6.0 * link.shadowing_sigma_db
-        state = [(rx, (r, r.chan_rng.random))
-                 for rx, r in self._receivers.items()]
+        state = [(rx, r, r.chan_rng.random) for rx, r in self._receivers.items()]
         for tx in self._receivers:
             row = link.rows[tx]
             self._candidates[tx] = tuple([
-                (rx, loss, st) for rx, st in state
+                (rx, loss, r, rand) for rx, r, rand in state
                 if rx != tx and max_power_dbm - (loss := row[rx]) >= floor - slack])
         scans = {(r.scan_interval_us, r.scan_window_us)
                  for r in self._receivers.values()}
@@ -254,9 +258,10 @@ class Medium:
         on_air.append(frame)
         while on_air and on_air[0].end < horizon:
             on_air.popleft()
-        if frame.kind is FrameKind.NOISE:
+        kind = frame.kind
+        if kind is NOISE:
             return
-        if self._uniform_scan is not None and frame.kind is not FrameKind.AUX \
+        if self._uniform_scan is not None and kind is not AUX \
                 and not _scanner_catches(*self._uniform_scan, frame):
             self._not_listening += len(self._candidates[frame.transmitter])
             return
@@ -271,7 +276,7 @@ class Medium:
         sensitivity, and a capture margin over every overlapping frame.
         """
         candidates = self._candidates[frame.transmitter]
-        if frame.kind is FrameKind.AUX:
+        if frame.kind is AUX:
             pool = frame.eligible or ()
             candidates = [c for c in candidates if c[0] in pool]
             check_scan = False      # eligibility replaces scanning
@@ -292,9 +297,8 @@ class Medium:
         tx, power = frame.transmitter, frame.power_dbm
         cache = frame.rssi_cache
         primary = channel >= 37
-        noise = FrameKind.NOISE
         n_nl = n_bs = n_col = n_del = 0
-        for rx, loss, (receiver, rand) in candidates:
+        for rx, loss, receiver, rand in candidates:
             if check_scan and not _scanner_catches(
                     receiver.scan_interval_us, receiver.scan_window_us, frame):
                 n_nl += 1
@@ -318,7 +322,7 @@ class Medium:
             for other in overlaps:
                 other_rssi = other.rssi_cache.get(rx)
                 if other_rssi is None:
-                    if other.kind is noise:
+                    if other.kind is NOISE:
                         other_rssi = other.power_dbm
                     else:
                         u = rand()

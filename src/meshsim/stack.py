@@ -39,7 +39,7 @@ from functools import partial
 
 from .engine import Engine, RandomSource
 from .errors import ConfigError
-from .radio import PHY_1M, PHY_2M, ChannelFrame, FrameKind, Medium, airtime_us
+from .radio import ADV, AUX, EXT_IND, PHY_1M, PHY_2M, ChannelFrame, Medium, airtime_us
 from .tuning import (
     EXT_AUX_OFFSET_US,
     EXT_INDICATION_OCTETS,
@@ -87,10 +87,14 @@ def group(value: int) -> MeshAddress:
 
 
 class MeshPdu:
-    """One network PDU.  seg is (index, count, tag) for segmented transport."""
+    """One network PDU.  seg is (index, count, tag) for segmented transport.
+
+    octets, the frame payload size, is fixed at construction from kind and
+    payload; neither changes afterwards.
+    """
 
     __slots__ = ("src", "dst", "seq", "ttl", "seg", "payload", "app_msg_id",
-                 "kind", "ack_info")
+                 "kind", "ack_info", "octets")
 
     def __init__(self, src, dst, seq, ttl, payload, app_msg_id,
                  kind="data", seg=None, ack_info=None):
@@ -107,12 +111,7 @@ class MeshPdu:
         self.app_msg_id = app_msg_id
         self.kind = kind
         self.ack_info = ack_info
-
-    @property
-    def octets(self) -> int:
-        if self.kind == "seg_ack":
-            return BLOCK_ACK_OCTETS
-        return max(1, len(self.payload))
+        self.octets = BLOCK_ACK_OCTETS if kind == "seg_ack" else max(1, len(payload))
 
     def relayed_copy(self) -> "MeshPdu":
         return MeshPdu(self.src, self.dst, self.seq, self.ttl - 1, self.payload,
@@ -133,29 +132,27 @@ def segment_payload(payload: bytes, *, extended: bool = False) -> list[bytes]:
     return [payload[i:i + cap] for i in range(0, len(payload), cap)]
 
 
-class NetworkCache:
-    """FIFO set of recently seen (src, seq): the duplicate and loop filter."""
+class NetworkCache(OrderedDict):
+    """FIFO set of recently seen (src, seq): the duplicate and loop filter.
 
-    __slots__ = ("capacity", "_entries")
+    Membership is the dict's own ``in``, so testing a duplicate costs no
+    Python-level call; insert() adds a key and evicts the oldest one.
+    """
+
+    __slots__ = ("capacity",)
 
     def __init__(self, capacity: int = CACHE_CAPACITY):
         if capacity < 1:
             raise ConfigError(f"cache capacity must be >= 1, got {capacity}")
+        super().__init__()
         self.capacity = capacity
-        self._entries = OrderedDict()
-
-    def seen(self, key) -> bool:
-        return key in self._entries
 
     def insert(self, key) -> None:
-        if key in self._entries:
+        if key in self:
             return
-        self._entries[key] = None
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        self[key] = None
+        if len(self) > self.capacity:
+            self.popitem(last=False)
 
 
 @dataclass
@@ -298,9 +295,10 @@ class Node:
         now = self.engine.now
         self.collector.on_send(app_msg_id, self.node_id, destinations, now)
         pub = _Publication(app_msg_id, dst, payload, mode, now)
-        self._pubs[app_msg_id] = pub
         self._send_copy(pub)
         if mode == "unicast":
+            # only an acknowledged publication is looked up again
+            self._pubs[app_msg_id] = pub
             pub.retry_timer = self.engine.schedule_after(
                 self.params.retry_interval_us, self._retry_fire, pub)
         return app_msg_id
@@ -341,12 +339,13 @@ class Node:
         now = self.engine.now
         if now - pub.send_time >= self.params.guard_us:
             pub.flagged = True
+            del self._pubs[pub.app_msg_id]
             self.collector.flag_guard(pub.app_msg_id)
             return
         if self.params.retry_cap and pub.retries >= self.params.retry_cap:
+            del self._pubs[pub.app_msg_id]
             return
-        attempt = self._tx_attempts.get(pub.active_tag) if pub.active_tag is not None else None
-        if (attempt is not None and not attempt.done) or pub.outstanding > 0:
+        if pub.active_tag in self._tx_attempts or pub.outstanding > 0:
             # let the queued copy air before republishing; stacking copies in
             # a congested advertiser only feeds the backlog
             pub.retry_timer = self.engine.schedule_after(
@@ -368,8 +367,8 @@ class Node:
                 self._enqueue(ack, self.params.n_adv_events_source)
         elif kind == "app_ack":
             self.collector.on_ack(app_msg_id, src_value, self.engine.now)
-            pub = self._pubs.get(app_msg_id)
-            if pub is not None and not pub.acked and pub.mode == "unicast":
+            pub = self._pubs.pop(app_msg_id, None)
+            if pub is not None:
                 pub.acked = True
                 if pub.retry_timer is not None:
                     Engine.cancel(pub.retry_timer)
@@ -384,9 +383,10 @@ class Node:
 
     def receive_network_pdu(self, pdu: MeshPdu) -> None:
         key = (pdu.src, pdu.seq)
-        if self._cache.seen(key):
+        cache = self._cache
+        if key in cache:
             return
-        self._cache.insert(key)
+        cache.insert(key)
         dst = pdu.dst
         if (dst.value == self.address if dst.kind == "unicast"
                 else dst.value in self.subscriptions):
@@ -476,11 +476,12 @@ class Node:
     def _on_block_ack(self, pdu: MeshPdu) -> None:
         tag, received = pdu.ack_info
         attempt = self._tx_attempts.get(tag)
-        if attempt is None or attempt.done:
+        if attempt is None:
             return
         attempt.acked |= received
         if len(attempt.acked) == len(attempt.chunks):
             attempt.done = True
+            del self._tx_attempts[tag]
             if attempt.timer is not None:
                 Engine.cancel(attempt.timer)
             return
@@ -491,7 +492,7 @@ class Node:
 
     def _transport_timer(self, tag) -> None:
         attempt = self._tx_attempts.get(tag)
-        if attempt is None or attempt.done:
+        if attempt is None:
             return
         self._transport_round(tag, attempt)
 
@@ -501,6 +502,7 @@ class Node:
             attempt.timer = None
         if attempt.rounds >= TRANSPORT_RETRY_ROUNDS:
             attempt.done = True
+            del self._tx_attempts[tag]
             log.debug("%s: transport attempt %d abandoned", self.node_id, tag)
             return
         attempt.rounds += 1
@@ -573,7 +575,7 @@ class Node:
     def _legacy_frame(self, job: _AdvJob, ch_idx: int, power: float) -> None:
         pdu = job.pdu
         frame = ChannelFrame(self.node_id, 37 + ch_idx, PHY_1M, power,
-                             self.engine.now, pdu.octets, FrameKind.ADV, payload=pdu)
+                             self.engine.now, pdu.octets, ADV, pdu)
         self.medium.begin_transmission(frame)
         self.collector.on_frame(pdu.app_msg_id, power)
         nxt = frame.end + INTER_CHANNEL_GAP_US
@@ -597,15 +599,14 @@ class Node:
 
     def _tx_indication(self, job, pointer, channel, power) -> None:
         frame = ChannelFrame(self.node_id, channel, PHY_1M, power, self.engine.now,
-                             EXT_INDICATION_OCTETS, FrameKind.EXT_IND, payload=pointer)
+                             EXT_INDICATION_OCTETS, EXT_IND, pointer)
         self.medium.begin_transmission(frame)
         self.collector.on_frame(job.pdu.app_msg_id, power)
 
     def _tx_aux(self, job, pointer, power) -> None:
         pdu = job.pdu
         frame = ChannelFrame(self.node_id, pointer.channel, PHY_2M, power,
-                             self.engine.now, pdu.octets, FrameKind.AUX,
-                             payload=pdu, eligible=pointer.eligible)
+                             self.engine.now, pdu.octets, AUX, pdu, pointer.eligible)
         self.medium.begin_transmission(frame)
         self.collector.on_frame(pdu.app_msg_id, power)
 
@@ -626,7 +627,7 @@ class Node:
 
     # ------------------------------------------------------------------- radio
     def _on_frame(self, frame: ChannelFrame, rssi: float) -> None:
-        if frame.kind is FrameKind.EXT_IND:
+        if frame.kind is EXT_IND:
             frame.payload.eligible.add(self.node_id)
             return
         self.receive_network_pdu(frame.payload)

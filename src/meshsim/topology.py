@@ -43,6 +43,12 @@ EDGE_MARGIN_DB = 5.0
 
 UNREACHABLE = math.inf
 
+# placement bounds far beyond any building; within them every pair's loss,
+# path loss plus attenuation times floors crossed, is a finite float
+MAX_ABS_FLOOR = 10**6
+MAX_ABS_COORDINATE_M = 1e9
+MAX_ABS_FLOOR_ATTENUATION_DB = 1e6
+
 
 @dataclass(frozen=True)
 class TopologyNode:
@@ -281,6 +287,9 @@ def load_topology(text: str) -> Topology:
                 continue
             if not math.isfinite(att):
                 errors.append(f"line {no}: non-finite attenuation {tok[1]!r}")
+            elif abs(att) > MAX_ABS_FLOOR_ATTENUATION_DB:
+                errors.append(f"line {no}: attenuation {tok[1]!r} outside "
+                              f"±{MAX_ABS_FLOOR_ATTENUATION_DB:g} dB")
         elif tok[0] == "node":
             if len(tok) not in (2, 5):
                 errors.append(
@@ -301,6 +310,10 @@ def load_topology(text: str) -> Topology:
                 continue
             if not (math.isfinite(x) and math.isfinite(y)):
                 errors.append(f"line {no}: non-finite coordinates for node {nid!r}")
+                continue
+            if abs(floor) > MAX_ABS_FLOOR or max(abs(x), abs(y)) > MAX_ABS_COORDINATE_M:
+                errors.append(f"line {no}: node {nid!r} outside ±{MAX_ABS_FLOOR} "
+                              f"floors or ±{MAX_ABS_COORDINATE_M:g} m")
                 continue
             nodes[nid] = TopologyNode(nid, floor, x, y)
         elif tok[0] == "loss":

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from meshsim.engine import Engine, RandomSource
 from meshsim.errors import ConfigError
 from meshsim.radio import (
+    ALL_CHANNELS,
     PHY_1M,
     PHY_2M,
+    PRIMARY_CHANNELS,
     ChannelFrame,
     FrameKind,
     LinkModel,
@@ -86,6 +88,31 @@ def test_frame_channel_kind_validation():
     assert f.end - f.start == airtime_us(11, PHY_1M)
 
 
+def if_chain_frame_check(kind, channel):
+    """ChannelFrame's check as an if-chain over FrameKind: None, or the error text."""
+    if kind in (FrameKind.ADV, FrameKind.EXT_IND):
+        if channel not in PRIMARY_CHANNELS:
+            return f"{kind.value} frame on channel {channel}: primary channels only"
+    elif kind is FrameKind.AUX:
+        if not 0 <= channel <= 36:
+            return f"aux frame on channel {channel}: secondary channels only"
+    elif channel not in ALL_CHANNELS:
+        return f"frame on unknown channel {channel}"
+    return None
+
+
+@pytest.mark.parametrize("kind", list(FrameKind))
+def test_frame_channel_check_matches_if_chain_oracle(kind):
+    for channel in range(-2, 42):
+        expected = if_chain_frame_check(kind, channel)
+        if expected is None:
+            ChannelFrame("a", channel, PHY_1M, 0.0, 0, 11, kind)
+        else:
+            with pytest.raises(ConfigError) as exc:
+                ChannelFrame("a", channel, PHY_1M, 0.0, 0, 11, kind)
+            assert str(exc.value) == expected
+
+
 def test_capture_threshold_must_be_positive():
     with pytest.raises(ConfigError):
         LinkModel(loss_rows({("a", "b"): 60.0}), capture_db=0.0)
@@ -111,8 +138,8 @@ def test_candidates_match_per_pair_prune(data):
         expected = [(rx, rows[tx][rx]) for rx in names
                     if rx != tx and power - rows[tx][rx] >= floor - 6.0 * 4.0]
         got = med._candidates[tx]
-        assert [(rx, loss) for rx, loss, _ in got] == expected
-        assert all(state[0] is med._receivers[rx] for rx, _, state in got)
+        assert [(rx, loss) for rx, loss, _, _ in got] == expected
+        assert all(receiver is med._receivers[rx] for rx, _, receiver, _ in got)
 
 
 def test_lone_frame_delivered_to_scanning_neighbors():

@@ -38,3 +38,22 @@ def test_event_cap_raises(monkeypatch):
     with pytest.raises(RuntimeError, match="50-event cap"):
         run_experiment(load_bundled_topology("office_single_floor_8.topo"),
                        bundled("single_hop_group.scn", "iterations=3"), 1)
+
+
+def test_transport_state_pruned_after_run(monkeypatch):
+    # acked, flagged and abandoned publications and finished segment
+    # attempts leave the per-node tables, so they follow the messages in
+    # flight, not the messages sent
+    nodes = []
+
+    class RecordedNode(runner.Node):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            nodes.append(self)
+
+    monkeypatch.setattr(runner, "Node", RecordedNode)
+    result = run_experiment(load_bundled_topology("office_two_floor_20.topo"),
+                            bundled("mm3_seg19.scn", "iterations=40"), 1)
+    assert len(nodes) == 20 and result.records
+    assert sum(len(n._pubs) for n in nodes) == 0
+    assert sum(len(n._tx_attempts) for n in nodes) == 0

@@ -1,7 +1,7 @@
 """Protocol machine behavior: flooding, transport recovery, advertising cadence."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshsim.engine import Engine, RandomSource
@@ -139,14 +139,32 @@ def test_segments_rejoin(payload, extended):
         assert all(len(c) == cap for c in chunks[:-1])
 
 
+def property_octets(pdu):
+    """MeshPdu.octets as a property formula, computed on every read."""
+    if pdu.kind == "seg_ack":
+        return 7
+    return max(1, len(pdu.payload))
+
+
+@settings(max_examples=20)
+@given(st.integers(1, 127), st.binary(min_size=1, max_size=1))
+def test_pdu_octets_match_property_formula(ttl, fill):
+    for kind in ("data", "app_ack", "seg_ack"):
+        for size in range(381):
+            pdu = MeshPdu(1, unicast(2), 0, ttl, fill * size, 5, kind=kind)
+            assert pdu.octets == property_octets(pdu)
+            copy = pdu.relayed_copy()
+            assert copy.octets == pdu.octets == property_octets(copy)
+
+
 def test_network_cache_fifo_eviction():
     cache = NetworkCache(capacity=3)
     for key in ("k1", "k2", "k3"):
         cache.insert(key)
     cache.insert("k1")            # re-insert must not reorder or grow
     cache.insert("k4")
-    assert not cache.seen("k1")   # oldest entry evicted
-    assert cache.seen("k2") and cache.seen("k3") and cache.seen("k4")
+    assert "k1" not in cache      # oldest entry evicted
+    assert "k2" in cache and "k3" in cache and "k4" in cache
     assert len(cache) == 3
     with pytest.raises(ConfigError):
         NetworkCache(capacity=0)
@@ -369,6 +387,15 @@ def deliver_spy(node):
 def test_segmented_roundtrip_lossless():
     w = World(["a", "b"], 60.0)
     seen = deliver_spy(w.nodes["b"])
+    sender = w.nodes["a"]
+    block_acks = []
+    on_block_ack = sender._on_block_ack
+
+    def ack_spy(pdu):
+        block_acks.append(pdu.ack_info)
+        on_block_ack(pdu)
+
+    sender._on_block_ack = ack_spy
     payload = bytes(range(19))
     w.publish_at(0, "a", unicast(w.addr["b"]), payload, "unicast", 1)
     w.engine.run_until_idle()
@@ -380,8 +407,9 @@ def test_segmented_roundtrip_lossless():
     # train lands within a handful of milliseconds
     assert 1.0 < rec.one_way_ms < 5.0
     assert rec.round_trip_ms < 10.0
-    attempt = w.nodes["a"]._tx_attempts[0]
-    assert attempt.done and attempt.acked == {0, 1}
+    # every block ack covers the whole train, and the finished attempt is gone
+    assert block_acks and all(info == (0, frozenset({0, 1})) for info in block_acks)
+    assert not sender._tx_attempts
 
 
 def test_twelve_octets_use_segmented_transport():

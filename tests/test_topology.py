@@ -115,6 +115,25 @@ def test_non_finite_values_rejected_naming_line(line):
         topo("node a 0 0 0", line, "node c 0 10 0")
 
 
+@pytest.mark.parametrize("line, problem", [
+    ("node b " + "9" * 400 + " 0 0", "node 'b' outside"),
+    ("node b -1000001 0 0", "node 'b' outside"),
+    ("node b 0 1e308 0", "node 'b' outside"),
+    ("node b 0 0 -1.000001e9", "node 'b' outside"),
+    ("floor-attenuation-db 1e308", "attenuation '1e308' outside"),
+], ids=["400-digit floor", "floor", "x", "y", "attenuation"])
+def test_placement_beyond_bounds_rejected_naming_node(line, problem):
+    # at such sizes a pair's loss overflows to inf or cannot become a float
+    with pytest.raises(ConfigError, match=rf"line 3: {problem}"):
+        topo("node a 0 0 0", line, "node c 1 10 0")
+
+
+def test_placement_at_bounds_gives_finite_losses():
+    t = topo("floor-attenuation-db -1e6", "node a -1000000 -1e9 1e9",
+             "node b 1000000 1e9 -1e9")
+    assert math.isfinite(t.path_loss_db("a", "b"))
+
+
 def test_fewer_than_two_nodes_rejected():
     with pytest.raises(ConfigError, match="at least 2 nodes"):
         topo("node a 0 0 0")
@@ -409,7 +428,8 @@ def test_load_topology_checks_match_all_pairs_oracle(case):
 
 TOPOLOGY_TOKENS = ["node", "loss", "floor-attenuation-db", "a", "b", "c", "0",
                    "-0", "1", "3.5", "-2", "1e400", "nan", "-inf", "0x10", "1_0",
-                   "9" * 5000, "#", "\u00e9", "\x0b", "\u2028"]
+                   "9" * 5000, "#", "\u00e9", "\x0b", "\u2028", "1e308", "-1e308",
+                   "9" * 400, "1000000", "1e9"]
 
 
 @st.composite
@@ -425,8 +445,12 @@ def fuzz_lines(draw, header, tokens):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.text(), fuzz_lines(HEADER, TOPOLOGY_TOKENS)))
 @example(HEADER + "\nnode a 0 0 0\nnode b " + "9" * 5000 + " 0 0")
+@example(HEADER + "\nnode a 0 0 0\nnode b " + "9" * 400 + " 0 0")
+@example(HEADER + "\nnode a 0 1e308 0\nnode b 0 -1e308 0")
+@example(HEADER + "\nfloor-attenuation-db 1e308\nnode a 0 0 0\nnode b 2 0 0")
 def test_any_topology_text_loads_or_raises_config_error(text):
     try:
-        load_topology(text)
+        t = load_topology(text)
     except ConfigError:
-        pass
+        return
+    assert all(math.isfinite(v) for row in t.loss_rows().values() for v in row.values())
