@@ -9,7 +9,7 @@ one master seed, so a run is fully reproducible from (config, seed).
 import heapq
 import random
 # normal_quantile(p, mu, sigma) is the routine NormalDist.inv_cdf calls once
-# it has checked 0 < p < 1; hot loops that inline draw_normal call it directly
+# it has checked 0 < p < 1; the medium's shadowing draw calls it directly
 from statistics import _normal_dist_inv_cdf as normal_quantile
 
 from .errors import ConfigError
@@ -37,8 +37,8 @@ class RandomSource:
     """Seeded random stream with deterministic child-stream derivation.
 
     Streams derived with different labels are independent: drawing from one
-    never perturbs another.  draw_uniform and draw_normal consume exactly
-    one generator step each; ``random`` is that step itself.
+    never perturbs another.  draw_uniform consumes exactly one generator
+    step; ``random`` is that step itself.
     """
 
     __slots__ = ("seed", "_rng")
@@ -60,16 +60,6 @@ class RandomSource:
         if lo > hi:
             raise ConfigError(f"uniform draw with lo={lo} > hi={hi}")
         return lo + (hi - lo) * self._rng.random()
-
-    def draw_normal(self, mean: float, stddev: float) -> float:
-        if stddev < 0:
-            raise ConfigError(f"normal draw with negative stddev {stddev}")
-        u = self._rng.random()
-        if stddev == 0.0:
-            return mean
-        if u <= 0.0:
-            u = 5e-324
-        return mean + stddev * normal_quantile(u, 0.0, 1.0)
 
     def sample(self, population, k: int) -> list:
         return self._rng.sample(population, k)

@@ -4,13 +4,22 @@ The medium is time-sliced by the event kernel, never threaded.  A frame is
 registered when its transmission begins and resolved for every candidate
 receiver in a single event at the frame's end.  Reception requires, in
 order: the receiver's scanner tuned to the frame's channel for the whole
-frame (and not transmitting), received power at or above the PHY
-sensitivity, and a capture margin over every overlapping frame on the same
-channel.  At most one frame of an overlap group can qualify.
-Medium._resolve_all is the one place these rules are decided.
+frame, no transmission of its own during the frame, received power at or
+above the PHY's sensitivity, and a capture margin over every overlapping
+frame on the same channel.  At most one frame of an overlap group can
+qualify.
+
+Every node scans with the medium's one scan config, so the scanner rule is
+decided once per frame, in Medium.begin_transmission: a primary-channel
+frame that no scanner catches whole is not listened to by any candidate and
+gets no resolution event, but stays registered and still interferes.  AUX
+frames skip the scanner rule; membership of frame.eligible replaces it.
+Medium._resolve_all is the one place the other rules are decided.
 
 Shadowing is drawn lazily, once per (frame, receiver), from the receiver's
-own channel stream, and cached on the frame.  The draws of one stream are
+own channel stream, and cached on the frame: one generator step u becomes
+sigma times the standard normal quantile of u.  An RSSI already in a
+frame's cache is used as it is, with no draw.  The draws of one stream are
 therefore made in resolution order: for each resolved frame, in candidate
 order, the frame's own RSSI and then, until one fails capture, each
 overlapping frame's RSSI not yet cached.  Every digest depends on that
@@ -44,10 +53,11 @@ class PhyMode:
     name: str
     bit_rate: int          # bits/s
     overhead_octets: int   # preamble+access address+header+CRC equivalent
+    sensitivity_dbm: float
 
 
-PHY_1M = PhyMode("1M", 1_000_000, 10)
-PHY_2M = PhyMode("2M", 2_000_000, 11)
+PHY_1M = PhyMode("1M", 1_000_000, 10, -90.0)
+PHY_2M = PhyMode("2M", 2_000_000, 11, -85.0)
 
 
 def airtime_us(pdu_octets: int, phy: PhyMode) -> int:
@@ -134,30 +144,20 @@ class LinkModel:
     """
 
     def __init__(self, rows, *, shadowing_sigma_db: float = 4.0,
-                 capture_db: float = 10.0,
-                 sensitivity_dbm: dict | None = None):
+                 capture_db: float = 10.0):
         if capture_db <= 0:
             raise ConfigError(f"capture threshold must be positive, got {capture_db}")
         if shadowing_sigma_db < 0:
             raise ConfigError(f"negative shadowing sigma {shadowing_sigma_db}")
         self.shadowing_sigma_db = shadowing_sigma_db
         self.capture_db = capture_db
-        self.sensitivity = dict(sensitivity_dbm or {PHY_1M.name: -90.0, PHY_2M.name: -85.0})
         self.rows = rows
-
-    def sensitivity_dbm(self, phy: PhyMode) -> float:
-        return self.sensitivity[phy.name]
 
 
 class _Receiver:
-    __slots__ = ("node_id", "scan_interval_us", "scan_window_us", "chan_rng",
-                 "on_frame", "on_rssi")
+    __slots__ = ("chan_rng", "on_frame", "on_rssi")
 
-    def __init__(self, node_id, scan_interval_us, scan_window_us, chan_rng,
-                 on_frame, on_rssi):
-        self.node_id = node_id
-        self.scan_interval_us = scan_interval_us
-        self.scan_window_us = scan_window_us
+    def __init__(self, chan_rng, on_frame, on_rssi):
         self.chan_rng = chan_rng
         self.on_frame = on_frame
         self.on_rssi = on_rssi
@@ -172,17 +172,21 @@ def _scanner_catches(scan_interval_us: int, scan_window_us: int,
 
 
 class Medium:
-    """Channel occupancy registry plus the reception-resolution rules."""
+    """Channel occupancy registry plus the reception-resolution rules.
 
-    def __init__(self, engine: Engine, link: LinkModel):
+    Every registered receiver scans with the one config given here.
+    """
+
+    def __init__(self, engine: Engine, link: LinkModel,
+                 scan_interval_us: int, scan_window_us: int):
         self.engine = engine
         self.link = link
+        self._scan_interval_us = scan_interval_us
+        self._scan_window_us = scan_window_us
         self._receivers: dict = {}
         self._on_air: deque = deque()   # ChannelFrames in registration order
         self._tx_end: dict = {}         # registered node -> end of its last frame
         self._candidates: dict = {}
-        self._blackouts: list = []
-        self._uniform_scan: tuple[int, int] | None = None
         self._max_airtime_us = 0
         self._not_listening = self._below_sensitivity = 0
         self._collision = self._delivered = 0
@@ -195,12 +199,10 @@ class Medium:
                 Outcome.BELOW_SENSITIVITY: self._below_sensitivity,
                 Outcome.COLLISION: self._collision}
 
-    def register(self, node_id, scan_interval_us, scan_window_us, chan_rng: RandomSource,
-                 on_frame, on_rssi=None) -> None:
+    def register(self, node_id, chan_rng: RandomSource, on_frame, on_rssi=None) -> None:
         if node_id in self._receivers:
             raise ConfigError(f"duplicate radio registration for {node_id!r}")
-        self._receivers[node_id] = _Receiver(
-            node_id, scan_interval_us, scan_window_us, chan_rng, on_frame, on_rssi)
+        self._receivers[node_id] = _Receiver(chan_rng, on_frame, on_rssi)
         self._tx_end[node_id] = -math.inf
 
     def finalize(self, max_power_dbm: float) -> None:
@@ -208,12 +210,12 @@ class Medium:
 
         A transmitter's candidates are the other registered receivers, in
         registration order, whose mean RSSI at max_power_dbm can plausibly
-        clear the lowest sensitivity (6-sigma slack).  receiver is the
-        receiver's _Receiver and rand the bound generator step of its
-        channel stream.
+        clear the lower of the two PHYs' sensitivities (6-sigma slack).
+        receiver is the receiver's _Receiver and rand the bound generator
+        step of its channel stream.
         """
         link = self.link
-        floor = min(link.sensitivity.values())
+        floor = min(PHY_1M.sensitivity_dbm, PHY_2M.sensitivity_dbm)
         slack = 6.0 * link.shadowing_sigma_db
         state = [(rx, r, r.chan_rng.random) for rx, r in self._receivers.items()]
         for tx in self._receivers:
@@ -221,28 +223,13 @@ class Medium:
             self._candidates[tx] = tuple([
                 (rx, loss, r, rand) for rx, r, rand in state
                 if rx != tx and max_power_dbm - (loss := row[rx]) >= floor - slack])
-        scans = {(r.scan_interval_us, r.scan_window_us)
-                 for r in self._receivers.values()}
-        # a shared scan config lets begin_transmission test the channel once per frame
-        self._uniform_scan = scans.pop() if len(scans) == 1 else None
 
-    # -- test hook: force total loss inside a time window ---------------------
-    def add_blackout(self, start_us: int, end_us: int, pair=None) -> None:
-        self._blackouts.append((start_us, end_us, pair))
-
-    def _blacked_out(self, tx, rx, start) -> bool:
-        for b0, b1, pair in self._blackouts:
-            if b0 <= start < b1 and (pair is None or pair == (tx, rx)):
-                return True
-        return False
-
-    # -------------------------------------------------------------------------
     def begin_transmission(self, frame: ChannelFrame) -> None:
         """Register a frame on the air and schedule its resolution at frame.end.
 
-        Under a shared scan config a primary-channel frame that no scanner
-        can catch whole is counted as not listening here, with no resolution
-        event; it stays registered, so it still interferes.
+        A primary-channel frame that the scan config cannot catch whole is
+        counted as not listening here, with no resolution event; it stays
+        registered, so it still interferes.
         """
         airtime = frame.end - frame.start
         if airtime > self._max_airtime_us:
@@ -261,8 +248,8 @@ class Medium:
         kind = frame.kind
         if kind is NOISE:
             return
-        if self._uniform_scan is not None and kind is not AUX \
-                and not _scanner_catches(*self._uniform_scan, frame):
+        if kind is not AUX and not _scanner_catches(
+                self._scan_interval_us, self._scan_window_us, frame):
             self._not_listening += len(self._candidates[frame.transmitter])
             return
         self.engine.schedule(frame.end, self._resolve_all, frame)
@@ -270,19 +257,16 @@ class Medium:
     def _resolve_all(self, frame: ChannelFrame) -> None:
         """Decide the frame's outcome at every candidate receiver.
 
-        A receiver needs, in order: its scanner on the frame's channel for
-        the whole frame (AUX frames: membership of frame.eligible instead),
-        no transmission of its own during the frame, RSSI at or above
-        sensitivity, and a capture margin over every overlapping frame.
+        begin_transmission has already applied the scanner rule.  A
+        receiver needs, in order: membership of frame.eligible (AUX frames
+        only), no transmission of its own during the frame, RSSI at or above
+        the PHY's sensitivity, and a capture margin over every overlapping
+        frame.
         """
         candidates = self._candidates[frame.transmitter]
         if frame.kind is AUX:
             pool = frame.eligible or ()
             candidates = [c for c in candidates if c[0] in pool]
-            check_scan = False      # eligibility replaces scanning
-        else:
-            # a shared scan config was already checked by begin_transmission
-            check_scan = self._uniform_scan is None
         start, end, channel = frame.start, frame.end, frame.channel
         concurrent = [o for o in self._on_air
                       if o.start < end and start < o.end and o is not frame]
@@ -291,18 +275,13 @@ class Medium:
         link = self.link
         rows = link.rows
         sigma = link.shadowing_sigma_db
-        sens = link.sensitivity_dbm(frame.phy)
+        sens = frame.phy.sensitivity_dbm
         capture = link.capture_db
-        blackouts = self._blackouts
-        tx, power = frame.transmitter, frame.power_dbm
+        power = frame.power_dbm
         cache = frame.rssi_cache
         primary = channel >= 37
         n_nl = n_bs = n_col = n_del = 0
         for rx, loss, receiver, rand in candidates:
-            if check_scan and not _scanner_catches(
-                    receiver.scan_interval_us, receiver.scan_window_us, frame):
-                n_nl += 1
-                continue
             if rx in busy:      # half duplex: rx transmitted during the frame
                 n_nl += 1
                 continue
@@ -312,8 +291,6 @@ class Medium:
                 if u <= 0.0:
                     u = 5e-324
                 rssi = power - loss + (0.0 + sigma * normal_quantile(u, 0.0, 1.0))
-                if blackouts and self._blacked_out(tx, rx, start):
-                    rssi = -math.inf
                 cache[rx] = rssi
             if rssi < sens:
                 n_bs += 1
@@ -330,9 +307,6 @@ class Medium:
                             u = 5e-324
                         other_rssi = (other.power_dbm - rows[other.transmitter][rx]
                                       + (0.0 + sigma * normal_quantile(u, 0.0, 1.0)))
-                    if blackouts and self._blacked_out(other.transmitter, rx,
-                                                       other.start):
-                        other_rssi = -math.inf
                     other.rssi_cache[rx] = other_rssi
                 if rssi - other_rssi < capture:
                     captured = False

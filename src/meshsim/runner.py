@@ -67,8 +67,6 @@ def node_params(cfg: ScenarioConfig, relay_enabled: bool) -> NodeParams:
         relay_buffer_cap=cfg.relay_buffer_cap,
         adv_interval_us=ms_to_us(cfg.adv_interval_ms),
         adv_delay_max_us=ms_to_us(cfg.adv_delay_max_ms),
-        scan_interval_us=ms_to_us(cfg.scan_interval_ms),
-        scan_window_us=ms_to_us(cfg.scan_window_resolved_ms),
         retry_interval_us=ms_to_us(cfg.retry_interval_ms),
         retry_cap=cfg.retry_cap,
         default_ttl=cfg.default_ttl,
@@ -117,7 +115,9 @@ def run_experiment(topology: Topology, cfg: ScenarioConfig, seed: int) -> RunRes
     engine = Engine()
     # noise frames reach every receiver at the interference power, so the
     # env interferer needs no loss row
-    medium = Medium(engine, LinkModel(topology.loss_rows()))
+    medium = Medium(engine, LinkModel(topology.loss_rows()),
+                    ms_to_us(cfg.scan_interval_ms),
+                    ms_to_us(cfg.scan_window_resolved_ms))
     addr = {nid: i + 1 for i, nid in enumerate(topology.node_ids)}
     directory = {v: nid for nid, v in addr.items()}
     groups = {GROUP_ADDRESS: tuple(cfg.slaves)} \

@@ -174,9 +174,6 @@ class ScenarioConfig:
                 self.message_size_octets, self.iterations,
                 self.controller, self.slaves)
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 _RawMap = dict[str, tuple[tuple[str, ...], str]]
 
@@ -314,11 +311,6 @@ def scenario_from_raw(raw: _RawMap) -> ScenarioConfig:
 
 def load_scenario(text: str, overrides=()) -> ScenarioConfig:
     return scenario_from_raw(apply_overrides(read_scenario_document(text), overrides))
-
-
-def load_scenario_file(path, overrides=()) -> ScenarioConfig:
-    with open(path, encoding="utf-8") as fh:
-        return load_scenario(fh.read(), overrides)
 
 
 def scenario_to_document(cfg: ScenarioConfig) -> str:

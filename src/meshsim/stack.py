@@ -164,8 +164,6 @@ class NodeParams:
     relay_buffer_cap: int = 5       # relay PDUs held at once; excess is dropped
     adv_interval_us: int = 20_000
     adv_delay_max_us: int = 10_000
-    scan_interval_us: int = 2_000_000
-    scan_window_us: int = 2_000_000
     retry_interval_us: int = 200_000
     retry_cap: int = 0              # 0 = retry until acknowledged (or guard)
     default_ttl: int = 7
@@ -275,9 +273,8 @@ class Node:
         self._rx_done: set = set()
         self.observer = RssiObserver(params.power_control.window) \
             if params.power_control else None
-        medium.register(
-            node_id, params.scan_interval_us, params.scan_window_us, chan_rng,
-            self._on_frame, self._on_rssi if self.observer else None)
+        medium.register(node_id, chan_rng, self._on_frame,
+                        self._on_rssi if self.observer else None)
 
     # ------------------------------------------------------------------ access
     def publish(self, dst: MeshAddress, payload: bytes, mode: str, app_msg_id: int) -> int:

@@ -30,7 +30,7 @@ from importlib.resources import files
 from types import MappingProxyType
 
 from .errors import ConfigError
-from .radio import path_loss_db
+from .radio import PHY_1M, path_loss_db
 
 TOPOLOGY_HEADER = "meshsim-topology v1"
 DEFAULT_FLOOR_ATTENUATION_DB = 15.0
@@ -38,7 +38,7 @@ FLOOR_HEIGHT_M = 3.0
 
 # connectivity-graph edge rule: mean RSSI at full power clears sensitivity
 # by this margin (shadowing excluded)
-EDGE_SENSITIVITY_DBM = -90.0
+EDGE_SENSITIVITY_DBM = PHY_1M.sensitivity_dbm
 EDGE_MARGIN_DB = 5.0
 
 UNREACHABLE = math.inf

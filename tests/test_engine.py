@@ -98,7 +98,7 @@ def test_same_seed_same_sequence():
     a = RandomSource(42)
     b = RandomSource(42)
     assert [a.draw_uniform(0, 1) for _ in range(50)] == [b.draw_uniform(0, 1) for _ in range(50)]
-    assert [a.draw_normal(0, 2) for _ in range(50)] == [b.draw_normal(0, 2) for _ in range(50)]
+    assert [a.random() for _ in range(50)] == [b.random() for _ in range(50)]
 
 
 def test_streams_are_independent_and_reproducible():
@@ -114,7 +114,6 @@ def test_streams_are_independent_and_reproducible():
 def test_degenerate_draws():
     rng = RandomSource(1)
     assert rng.draw_uniform(5, 5) == 5
-    assert rng.draw_normal(0, 0) == 0
 
 
 def test_uniform_rejects_inverted_bounds():

@@ -38,14 +38,14 @@ def loss_rows(losses):
 def make_medium(losses, sigma=0.0, capture=10.0, scan_interval=CONTINUOUS, scan_window=None):
     eng = Engine()
     link = LinkModel(loss_rows(losses), shadowing_sigma_db=sigma, capture_db=capture)
-    med = Medium(eng, link)
+    med = Medium(eng, link, scan_interval,
+                 scan_window if scan_window is not None else scan_interval)
     nodes = sorted({n for pair in losses for n in pair})
     delivered = []
     root = RandomSource(99)
     for n in nodes:
         med.register(
-            n, scan_interval, scan_window if scan_window is not None else scan_interval,
-            root.stream(f"chan:{n}"),
+            n, root.stream(f"chan:{n}"),
             lambda frame, rssi, n=n: delivered.append((n, frame, rssi)),
         )
     med.finalize(0.0)
@@ -128,12 +128,12 @@ def test_candidates_match_per_pair_prune(data):
               for a, b in itertools.combinations(sorted(names), 2)}
     power = data.draw(st.sampled_from([0.0, -0.5]))
     rows = loss_rows(losses)
-    med = Medium(Engine(), LinkModel(rows, shadowing_sigma_db=4.0))
+    med = Medium(Engine(), LinkModel(rows, shadowing_sigma_db=4.0), CONTINUOUS, CONTINUOUS)
     root = RandomSource(1)
     for n in names:
-        med.register(n, CONTINUOUS, CONTINUOUS, root.stream(n), lambda f, r: None)
+        med.register(n, root.stream(n), lambda f, r: None)
     med.finalize(power)
-    floor = min(med.link.sensitivity.values())
+    floor = min(PHY_1M.sensitivity_dbm, PHY_2M.sensitivity_dbm)
     for tx in names:
         expected = [(rx, rows[tx][rx]) for rx in names
                     if rx != tx and power - rows[tx][rx] >= floor - 6.0 * 4.0]
@@ -232,24 +232,19 @@ def test_duty_cycled_window_idles_late_in_interval():
     assert starts == [500]
 
 
-def test_scan_config_checked_per_receiver():
-    # b scans continuously; c listens for 2 ms of every 10 ms interval
-    eng = Engine()
-    med = Medium(eng, LinkModel(loss_rows(
-        {("a", "b"): 60.0, ("a", "c"): 60.0, ("b", "c"): 60.0}), shadowing_sigma_db=0.0))
-    delivered = []
-    root = RandomSource(3)
-    for n, interval, window in (("a", CONTINUOUS, CONTINUOUS),
-                                ("b", CONTINUOUS, CONTINUOUS),
-                                ("c", 10_000, 2_000)):
-        med.register(n, interval, window, root.stream(n),
-                     lambda frame, rssi, n=n: delivered.append((n, frame.start)))
-    med.finalize(0.0)
-    med.begin_transmission(ChannelFrame("a", 37, PHY_1M, 0.0, 500, 11))
-    med.begin_transmission(ChannelFrame("a", 37, PHY_1M, 0.0, 5_000, 11))
+def test_frame_the_scanner_misses_still_interferes():
+    # a's frame (830..998 us) sits inside the first interval; c's (900..1068)
+    # straddles the channel switch, so no scanner catches it, yet at b it
+    # overlaps a's on channel 37 at equal power
+    eng, med, delivered = make_medium(
+        {("a", "b"): 60.0, ("c", "b"): 60.0, ("a", "c"): 60.0}, scan_interval=1000)
+    med.begin_transmission(ChannelFrame("a", 37, PHY_1M, 0.0, 830, 11))
+    med.begin_transmission(ChannelFrame("c", 37, PHY_1M, 0.0, 900, 11))
     eng.run_until_idle()
-    assert sorted(delivered) == [("b", 500), ("b", 5_000), ("c", 500)]
-    assert med.outcome_counts[Outcome.NOT_LISTENING] == 1
+    assert delivered == []
+    counts = med.outcome_counts
+    assert counts[Outcome.COLLISION] == 1        # a's frame at b
+    assert counts[Outcome.NOT_LISTENING] == 3    # c's frame at a and b; a's at c
 
 
 def test_noise_frame_interferes_but_never_delivers():
@@ -281,10 +276,12 @@ def test_history_outlives_a_short_frame_while_a_long_one_is_pending():
 
 def test_blackout_window_forces_loss():
     eng, med, delivered = make_medium({("a", "b"): 60.0})
-    med.add_blackout(0, 1_000_000)
-    med.begin_transmission(ChannelFrame("a", 37, PHY_1M, 0.0, 0, 11))
+    frame = ChannelFrame("a", 37, PHY_1M, 0.0, 0, 11)
+    frame.rssi_cache["b"] = -math.inf     # an RSSI set before airing is used as is
+    med.begin_transmission(frame)
     eng.run_until_idle()
     assert delivered == []
+    assert med.outcome_counts[Outcome.BELOW_SENSITIVITY] == 1
 
 
 def test_shadowing_draws_are_per_frame_and_reproducible():
@@ -372,13 +369,13 @@ def run_impl(nodes, frames, loss):
     """
     eng = Engine()
     link = LinkModel(loss_rows(loss), shadowing_sigma_db=0.0, capture_db=CAPTURE)
-    med = Medium(eng, link)
+    med = Medium(eng, link, CONTINUOUS, CONTINUOUS)
     index = {}                  # ChannelFrame -> its position in `frames`
     resolving = []              # frames in the order the medium resolves them
     delivered, heard = set(), set()
     root = RandomSource(5)
     for nd in nodes:
-        med.register(nd, CONTINUOUS, CONTINUOUS, root.stream(nd),
+        med.register(nd, root.stream(nd),
                      lambda f, r, nd=nd: delivered.add((nd, index[f])),
                      lambda ch, r, nd=nd: heard.add((nd, index[resolving[-1]])))
     med.finalize(0.0)

@@ -1,5 +1,7 @@
 """Protocol machine behavior: flooding, transport recovery, advertising cadence."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,9 +30,15 @@ from meshsim.stack import (
 )
 from meshsim.tuning import PowerControlConfig
 
+SCAN_US = 2_000_000     # scan interval and window: continuous, 2 s per channel
+
 
 class World:
-    """Fully wired micro-network over a loss matrix (or one shared loss value)."""
+    """Fully wired micro-network over a loss matrix (or one shared loss value).
+
+    blackout(start, end, pair) forces total loss on every frame that starts
+    in [start, end): at all receivers, or only on the (tx, rx) pair given.
+    """
 
     def __init__(self, names, loss, *, seed=7, sigma=0.0, params=None,
                  per_node=None, groups=None):
@@ -42,7 +50,8 @@ class World:
         rows = {n: {} for n in names}
         for (a, b), v in loss.items():
             rows[a][b] = rows[b][a] = v
-        self.medium = Medium(self.engine, LinkModel(rows, shadowing_sigma_db=sigma))
+        self.medium = Medium(self.engine, LinkModel(rows, shadowing_sigma_db=sigma),
+                             SCAN_US, SCAN_US)
         self.addr = {n: i + 1 for i, n in enumerate(names)}
         directory = {v: n for n, v in self.addr.items()}
         self.collector = Collector(addr_to_node=directory)
@@ -58,13 +67,23 @@ class World:
             max_power = max(max_power, cap)
         self.medium.finalize(max_power)
         self.frames = []
+        self._blackouts = []
         inner = self.medium.begin_transmission
 
         def logged(frame):
             self.frames.append(frame)
+            for start, end, pair in self._blackouts:
+                if start <= frame.start < end:
+                    tx = frame.transmitter
+                    for rx in names:
+                        if rx != tx and (pair is None or pair == (tx, rx)):
+                            frame.rssi_cache[rx] = -math.inf
             inner(frame)
 
         self.medium.begin_transmission = logged
+
+    def blackout(self, start_us, end_us, pair=None):
+        self._blackouts.append((start_us, end_us, pair))
 
     def publish_at(self, t_us, src, dst, payload, mode, msg_id):
         self.engine.schedule(t_us, self.nodes[src].publish, dst, payload, mode, msg_id)
@@ -242,7 +261,7 @@ def test_unicast_single_hop():
 
 def test_unicast_retries_until_link_returns():
     w = World(["a", "b"], 60.0)
-    w.medium.add_blackout(0, 1_000_000)
+    w.blackout(0, 1_000_000)
     w.publish_at(0, "a", unicast(w.addr["b"]), b"cmd", "unicast", 1)
     w.engine.run_until_idle()
     (rec,) = w.records(1)
@@ -263,7 +282,7 @@ def test_publish_rejects_oversized_payload():
 
 def test_retry_cap_stops_republishing():
     w = World(["a", "b"], 60.0, params=NodeParams(retry_cap=2))
-    w.medium.add_blackout(0, 10 ** 12)
+    w.blackout(0, 10 ** 12)
     w.publish_at(0, "a", unicast(w.addr["b"]), b"cmd", "unicast", 1)
     w.engine.run_until_idle()
     (rec,) = w.records(1)
@@ -274,7 +293,7 @@ def test_retry_cap_stops_republishing():
 
 def test_guard_flags_runaway_retry():
     w = World(["a", "b"], 60.0, params=NodeParams(guard_us=1_000_000))
-    w.medium.add_blackout(0, 10 ** 12)
+    w.blackout(0, 10 ** 12)
     w.publish_at(0, "a", unicast(w.addr["b"]), b"cmd", "unicast", 1)
     w.engine.run_until_idle()
     (rec,) = w.records(1)
@@ -285,7 +304,7 @@ def test_guard_flags_runaway_retry():
 
 def test_destination_acks_every_received_copy():
     w = World(["a", "b"], 60.0)
-    w.medium.add_blackout(0, 350_000, pair=("b", "a"))   # ack path only
+    w.blackout(0, 350_000, pair=("b", "a"))   # ack path only
     w.publish_at(0, "a", unicast(w.addr["b"]), b"cmd", "unicast", 1)
     w.engine.run_until_idle()
     (rec,) = w.records(1)
@@ -429,7 +448,7 @@ def test_lost_segment_recovered_by_block_ack(seed):
     seen = deliver_spy(w.nodes["b"])
     # window sized so only segment 0's opening frame survives; every later
     # event of the first pass is gone, and the 200 ms report gets through
-    w.medium.add_blackout(1_000, 150_000, pair=("a", "b"))
+    w.blackout(1_000, 150_000, pair=("a", "b"))
     payload = bytes(range(19))
     w.publish_at(0, "a", unicast(w.addr["b"]), payload, "unicast", 1)
     w.engine.run_until_idle()
@@ -486,7 +505,7 @@ def test_extended_event_structure():
 def test_aux_requires_a_heard_indication():
     w = World(["a", "b"], 60.0, params=NodeParams(extended=True))
     # kill only the first event's indications; its aux is then invisible
-    w.medium.add_blackout(0, 2_280, pair=("a", "b"))
+    w.blackout(0, 2_280, pair=("a", "b"))
     w.publish_at(0, "a", unicast(w.addr["b"]), bytes(50), "unicast", 1)
     w.engine.run_until_idle()
     (rec,) = w.records(1)
