@@ -205,13 +205,19 @@ def read_messages_csv(path) -> list[MessageRecord]:
         if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
             raise ConfigError(f"unexpected message CSV header in {path}")
         for row in reader:
-            out.append(MessageRecord(
-                int(row["app_msg_id"]), row["source"], row["destination"],
-                int(row["send_time_us"]),
-                int(row["delivery_time_us"]) if row["delivery_time_us"] else None,
-                int(row["ack_time_us"]) if row["ack_time_us"] else None,
-                int(row["retransmissions"]), int(row["frames_total"]), row["status"],
-            ))
+            try:
+                out.append(MessageRecord(
+                    int(row["app_msg_id"]), row["source"], row["destination"],
+                    int(row["send_time_us"]),
+                    int(row["delivery_time_us"]) if row["delivery_time_us"] else None,
+                    int(row["ack_time_us"]) if row["ack_time_us"] else None,
+                    int(row["retransmissions"]), int(row["frames_total"]),
+                    row["status"],
+                ))
+            except (TypeError, ValueError) as exc:
+                # a short row fills its missing columns with None
+                raise ConfigError(f"{path}: line {reader.line_num}: bad message "
+                                  f"row: {exc}") from None
     return out
 
 

@@ -26,7 +26,7 @@ from .radio import (
     Medium,
 )
 from .scenario import GROUP_ADDRESS, ScenarioConfig, build_traffic, ms_to_us, s_to_us
-from .stack import Node, NodeParams, group, unicast
+from .stack import UNICAST_MAX, Node, NodeParams
 from .topology import Topology, flood_reaches_all
 from .tuning import PowerControlConfig, select_relays
 
@@ -107,6 +107,9 @@ def _schedule_interference(engine: Engine, medium: Medium, cfg: ScenarioConfig,
 
 
 def run_experiment(topology: Topology, cfg: ScenarioConfig, seed: int) -> RunResult:
+    # node addresses are 1..N; checked before any set-up work
+    if len(topology.nodes) > UNICAST_MAX:
+        raise ConfigError(f"{len(topology.nodes)} nodes exceed {UNICAST_MAX} addresses")
     cfg.validate()
     root = RandomSource(seed)
     schedule = build_traffic(topology, cfg, root.stream("traffic"))
@@ -135,12 +138,10 @@ def run_experiment(topology: Topology, cfg: ScenarioConfig, seed: int) -> RunRes
     medium.finalize(cfg.tx_power_dbm)
 
     payload = bytes(cfg.message_size_octets)
-    stack_mode = "unicast" if cfg.mode == "unicast-acked" else "group"
     for s in schedule:
-        dst = unicast(addr[s.dst_node]) if s.dst_node is not None \
-            else group(s.group)
+        dst = addr[s.dst_node] if s.dst_node is not None else s.group
         engine.schedule(s.time_us, nodes[s.source].publish, dst, payload,
-                        stack_mode, s.app_msg_id)
+                        s.app_msg_id)
     if cfg.interference_rate_per_s > 0:
         horizon = schedule[-1].time_us + s_to_us(cfg.guard_s)
         _schedule_interference(engine, medium, cfg,

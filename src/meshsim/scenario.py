@@ -10,6 +10,9 @@ Format (UTF-8, line oriented, ``#`` comments)::
 One key per line, value tokens separated by whitespace.  Absent keys take
 the defaults below.  ``--set key=value`` assignments replace the file's
 value for that key before validation.
+
+The key table, ``_KEYS``, is derived from the ``ScenarioConfig`` fields at
+import, so a new knob is one field line.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import dataclasses
 import math
 import re
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .engine import RandomSource
 from .errors import ConfigError
@@ -28,10 +31,14 @@ SCENARIO_HEADER = "meshsim-scenario v1"
 GROUP_ADDRESS = 0xC000
 MIN_PAIR_HOPS = 2
 PAIR_DRAW_ATTEMPTS = 200
+# bounds on what a run schedules before its first event, far above the
+# largest bundled run: 1,400 sends, and about 32k noise bursts for mm3 at
+# 200 bursts/s
+MAX_SCHEDULED_SENDS = 100_000
+MAX_NOISE_BURSTS = 1_000_000
 
 PATTERNS = ("one-to-many", "many-to-one", "many-to-many")
 MODES = ("unicast-acked", "group-acked-fixed")
-_MODE_ALIASES = {"unicast": "unicast-acked", "group": "group-acked-fixed"}
 _MM_SUGAR = re.compile(r"^many-to-many\((\d+)\)$")
 
 
@@ -49,7 +56,8 @@ def s_to_us(s: float) -> int:
 class ScenarioConfig:
     pattern: str = "many-to-many"
     senders: int = 3
-    mode: str = "unicast-acked"
+    mode: str = field(default="unicast-acked", metadata={
+        "aliases": {"unicast": "unicast-acked", "group": "group-acked-fixed"}})
     message_size_octets: int = 11
     iterations: int = 100
     period_ms: float = 1000.0
@@ -72,10 +80,14 @@ class ScenarioConfig:
     extended: bool = False
     guard_s: float = 60.0
     power_control: bool = False
-    power_control_zeta_th_dbm: float = -70.0
-    power_control_margin_db: float = 0.0
-    power_control_floor_dbm: float = -20.0
-    power_control_window: int = 16
+    power_control_zeta_th_dbm: float = field(
+        default=-70.0, metadata={"key": "power_control.zeta_th_dbm"})
+    power_control_margin_db: float = field(
+        default=0.0, metadata={"key": "power_control.margin_db"})
+    power_control_floor_dbm: float = field(
+        default=-20.0, metadata={"key": "power_control.floor_dbm"})
+    power_control_window: int = field(
+        default=16, metadata={"key": "power_control.window"})
     interference_rate_per_s: float = 0.0
     interference_power_dbm: float = -60.0
 
@@ -154,12 +166,25 @@ class ScenarioConfig:
             if self.controller is not None:
                 check(self.controller not in self.slaves,
                       "slaves: controller listed as its own slave")
+            per_iteration = 1 if self.mode == "group-acked-fixed" \
+                else len(self.slaves)
         else:
             check(self.senders >= 1, "senders: must be >= 1")
             check(self.controller is None and not self.slaves,
                   "controller/slaves: only apply to one-to-many/many-to-one")
             check(self.mode == "unicast-acked",
                   "mode: many-to-many supports unicast-acked only")
+            per_iteration = self.senders
+        check(self.iterations * per_iteration <= MAX_SCHEDULED_SENDS,
+              f"iterations: schedules more than {MAX_SCHEDULED_SENDS} sends")
+        # a larger count cannot pass the checks above, and it would
+        # overflow the float span below
+        if 1 <= self.iterations <= MAX_SCHEDULED_SENDS:
+            span_s = ((self.iterations - 1) * self.period_ms
+                      + self.jitter_ms) / 1000 + self.guard_s
+            check(self.interference_rate_per_s * span_s <= MAX_NOISE_BURSTS,
+                  "interference_rate_per_s: expects more than "
+                  f"{MAX_NOISE_BURSTS} noise bursts")
         return out
 
     def validate(self) -> "ScenarioConfig":
@@ -178,72 +203,38 @@ class ScenarioConfig:
 _RawMap = dict[str, tuple[tuple[str, ...], str]]
 
 
-def _parse_bool(tokens: tuple[str, ...]) -> bool:
-    if tokens[0] not in ("on", "off"):
-        raise ValueError(f"expected on/off, got {tokens[0]!r}")
-    return tokens[0] == "on"
+def _parse_bool(token: str) -> bool:
+    if token not in ("on", "off"):
+        raise ValueError(f"expected on/off, got {token!r}")
+    return token == "on"
 
 
-def _parse_int(tokens: tuple[str, ...]) -> int:
+def _parse_int(token: str) -> int:
     try:
-        return int(tokens[0])
+        return int(token)
     except ValueError:
-        raise ValueError(f"expected integer, got {tokens[0]!r}") from None
+        raise ValueError(f"expected integer, got {token!r}") from None
 
 
-def _parse_float(tokens: tuple[str, ...]) -> float:
+def _parse_float(token: str) -> float:
     try:
-        return float(tokens[0])
+        return float(token)
     except ValueError:
-        raise ValueError(f"expected number, got {tokens[0]!r}") from None
+        raise ValueError(f"expected number, got {token!r}") from None
 
 
-def _parse_str(tokens: tuple[str, ...]) -> str:
-    return tokens[0]
+# field type -> parser of one value token; a tuple field takes every token
+_PARSERS = {"bool": _parse_bool, "int": _parse_int, "float": _parse_float,
+            "float | None": _parse_float, "str": str, "str | None": str,
+            "tuple[str, ...]": str}
 
-
-def _parse_mode(tokens: tuple[str, ...]) -> str:
-    return _MODE_ALIASES.get(tokens[0], tokens[0])
-
-
-def _parse_slaves(tokens: tuple[str, ...]) -> tuple[str, ...]:
-    return tokens
-
-
-# file key -> (attr, parser, wants_many_tokens)
-_KEYS: dict[str, tuple[str, object, bool]] = {
-    "pattern": ("pattern", _parse_str, False),
-    "senders": ("senders", _parse_int, False),
-    "mode": ("mode", _parse_mode, False),
-    "message_size_octets": ("message_size_octets", _parse_int, False),
-    "iterations": ("iterations", _parse_int, False),
-    "period_ms": ("period_ms", _parse_float, False),
-    "jitter_ms": ("jitter_ms", _parse_float, False),
-    "controller": ("controller", _parse_str, False),
-    "slaves": ("slaves", _parse_slaves, True),
-    "adv_interval_ms": ("adv_interval_ms", _parse_float, False),
-    "adv_delay_max_ms": ("adv_delay_max_ms", _parse_float, False),
-    "scan_interval_ms": ("scan_interval_ms", _parse_float, False),
-    "scan_window_ms": ("scan_window_ms", _parse_float, False),
-    "scan_turnaround_ms": ("scan_turnaround_ms", _parse_float, False),
-    "tx_power_dbm": ("tx_power_dbm", _parse_float, False),
-    "n_adv_events_source": ("n_adv_events_source", _parse_int, False),
-    "n_adv_events_relay": ("n_adv_events_relay", _parse_int, False),
-    "relay_buffer_cap": ("relay_buffer_cap", _parse_int, False),
-    "retry_interval_ms": ("retry_interval_ms", _parse_float, False),
-    "retry_cap": ("retry_cap", _parse_int, False),
-    "default_ttl": ("default_ttl", _parse_int, False),
-    "relay_fraction": ("relay_fraction", _parse_float, False),
-    "extended": ("extended", _parse_bool, False),
-    "guard_s": ("guard_s", _parse_float, False),
-    "power_control": ("power_control", _parse_bool, False),
-    "power_control.zeta_th_dbm": ("power_control_zeta_th_dbm", _parse_float, False),
-    "power_control.margin_db": ("power_control_margin_db", _parse_float, False),
-    "power_control.floor_dbm": ("power_control_floor_dbm", _parse_float, False),
-    "power_control.window": ("power_control_window", _parse_int, False),
-    "interference_rate_per_s": ("interference_rate_per_s", _parse_float, False),
-    "interference_power_dbm": ("interference_power_dbm", _parse_float, False),
-}
+# file key -> (attr, parser, takes every token, value aliases), one per
+# ScenarioConfig field; a field type without a parser fails here, at import
+_KEYS = {
+    f.metadata.get("key", f.name):
+        (f.name, _PARSERS[f.type], f.type.startswith("tuple["),
+         f.metadata.get("aliases", {}))
+    for f in dataclasses.fields(ScenarioConfig)}
 
 
 def read_scenario_document(text: str) -> _RawMap:
@@ -282,12 +273,13 @@ def scenario_from_raw(raw: _RawMap) -> ScenarioConfig:
         if spec is None:
             errors.append(f"{where}: unknown key {key!r}")
             continue
-        attr, parse, many = spec
+        attr, parse, many, aliases = spec
         if not many and len(tokens) != 1:
             errors.append(f"{where}: {key} takes one value")
             continue
         try:
-            kwargs[attr] = parse(tokens)
+            values = tuple(parse(aliases.get(t, t)) for t in tokens)
+            kwargs[attr] = values if many else values[0]
         except ValueError as exc:
             errors.append(f"{where}: {key}: {exc}")
 
@@ -300,7 +292,7 @@ def scenario_from_raw(raw: _RawMap) -> ScenarioConfig:
                     "senders: given both as a key and inside the pattern")
             kwargs["pattern"] = "many-to-many"
             try:
-                kwargs["senders"] = _parse_int(m.groups())
+                kwargs["senders"] = _parse_int(m[1])
             except ValueError as exc:   # past int()'s digit limit
                 errors.append(f"pattern: {exc}")
 
@@ -316,9 +308,9 @@ def load_scenario(text: str, overrides=()) -> ScenarioConfig:
 def scenario_to_document(cfg: ScenarioConfig) -> str:
     """Render a document that loads back to an equal config."""
     lines = [SCENARIO_HEADER]
-    for key, (attr, _parse, _many) in _KEYS.items():
+    for key, (attr, _parse, _many, _aliases) in _KEYS.items():
         value = getattr(cfg, attr)
-        if value is None or (attr == "slaves" and not value):
+        if value is None or value == ():
             continue
         if attr == "pattern" and value == "many-to-many":
             lines.append(f"pattern many-to-many({cfg.senders})")

@@ -70,20 +70,10 @@ REASSEMBLY_IDLE_ROUNDS = 10        # partial buffers die after this many silent 
 # trip or every round fires spuriously and congestion feeds itself
 SEG_ROUND_BASE_US = 400_000
 SEG_ROUND_PER_TTL_US = 50_000
-
-
-@dataclass(frozen=True)
-class MeshAddress:
-    kind: str   # "unicast" | "group"
-    value: int
-
-
-def unicast(value: int) -> MeshAddress:
-    return MeshAddress("unicast", value)
-
-
-def group(value: int) -> MeshAddress:
-    return MeshAddress("group", value)
+# address ranges of Bluetooth Mesh Profile 1.0 §3.4.2; an address that
+# publish() accepted is unicast iff it is at most UNICAST_MAX
+UNICAST_MIN, UNICAST_MAX = 0x0001, 0x7FFF
+GROUP_MIN, GROUP_MAX = 0xC000, 0xFEFF
 
 
 class MeshPdu:
@@ -186,15 +176,14 @@ class _AdvJob:
 
 
 class _Publication:
-    __slots__ = ("app_msg_id", "dst", "payload", "mode", "send_time",
+    __slots__ = ("app_msg_id", "dst", "payload", "send_time",
                  "acked", "retries", "retry_timer", "active_tag", "flagged",
                  "outstanding")
 
-    def __init__(self, app_msg_id, dst, payload, mode, send_time):
+    def __init__(self, app_msg_id, dst, payload, send_time):
         self.app_msg_id = app_msg_id
         self.dst = dst
         self.payload = payload
-        self.mode = mode
         self.send_time = send_time
         self.acked = False
         self.retries = 0
@@ -277,23 +266,22 @@ class Node:
                         self._on_rssi if self.observer else None)
 
     # ------------------------------------------------------------------ access
-    def publish(self, dst: MeshAddress, payload: bytes, mode: str, app_msg_id: int) -> int:
-        """Originate one application message; returns its correlation id."""
-        if mode not in ("unicast", "group"):
-            raise ConfigError(f"unknown publish mode {mode!r}")
-        if mode == "unicast":
-            if dst.kind != "unicast" or dst.value not in self.directory:
-                raise ConfigError(f"unknown unicast destination {dst}")
-            destinations = (self.directory[dst.value],)
+    def publish(self, dst: int, payload: bytes, app_msg_id: int) -> int:
+        """Originate one application message; returns its correlation id.
+
+        Only a unicast dst is acknowledged and retried.
+        """
+        if UNICAST_MIN <= dst <= UNICAST_MAX and dst in self.directory:
+            destinations = (self.directory[dst],)
+        elif GROUP_MIN <= dst <= GROUP_MAX and dst in self.groups:
+            destinations = tuple(self.groups[dst])
         else:
-            if dst.kind != "group" or dst.value not in self.groups:
-                raise ConfigError(f"unknown group destination {dst}")
-            destinations = tuple(self.groups[dst.value])
+            raise ConfigError(f"no node or group at address {dst!r}")
         now = self.engine.now
         self.collector.on_send(app_msg_id, self.node_id, destinations, now)
-        pub = _Publication(app_msg_id, dst, payload, mode, now)
+        pub = _Publication(app_msg_id, dst, payload, now)
         self._send_copy(pub)
-        if mode == "unicast":
+        if dst <= UNICAST_MAX:
             # only an acknowledged publication is looked up again
             self._pubs[app_msg_id] = pub
             pub.retry_timer = self.engine.schedule_after(
@@ -303,8 +291,8 @@ class Node:
     def _send_copy(self, pub: _Publication) -> None:
         limit = EXT_UNSEGMENTED_MAX_OCTETS if self.params.extended \
             else UNSEGMENTED_MAX_OCTETS
-        events = GROUP_ADV_EVENTS if pub.mode == "group" \
-            else self.params.n_adv_events_source
+        events = self.params.n_adv_events_source if pub.dst <= UNICAST_MAX \
+            else GROUP_ADV_EVENTS
         if len(pub.payload) <= limit:
             pub.outstanding += 1
             self._enqueue(self._make_pdu(pub.dst, pub.payload, pub.app_msg_id),
@@ -315,7 +303,7 @@ class Node:
         tag = self._tag
         self._tag += 1
         on_done = None
-        if pub.dst.kind == "unicast":
+        if pub.dst <= UNICAST_MAX:
             attempt = _TxAttempt(chunks, pub.dst, pub.app_msg_id)
             self._tx_attempts[tag] = attempt
             pub.active_tag = tag
@@ -354,16 +342,16 @@ class Node:
         pub.retry_timer = self.engine.schedule_after(
             self.params.retry_interval_us, self._retry_fire, pub)
 
-    def _access_deliver(self, src_value: int, kind: str, payload: bytes,
+    def _access_deliver(self, src: int, kind: str, payload: bytes,
                         app_msg_id: int) -> None:
         if kind == "data":
             self.collector.on_delivery(app_msg_id, self.node_id, self.engine.now)
-            if src_value != self.address:
-                ack = self._make_pdu(unicast(src_value), bytes(APP_ACK_OCTETS),
+            if src != self.address:
+                ack = self._make_pdu(src, bytes(APP_ACK_OCTETS),
                                      app_msg_id, kind="app_ack")
                 self._enqueue(ack, self.params.n_adv_events_source)
         elif kind == "app_ack":
-            self.collector.on_ack(app_msg_id, src_value, self.engine.now)
+            self.collector.on_ack(app_msg_id, src, self.engine.now)
             pub = self._pubs.pop(app_msg_id, None)
             if pub is not None:
                 pub.acked = True
@@ -384,9 +372,9 @@ class Node:
         if key in cache:
             return
         cache.insert(key)
+        # subscriptions holds group addresses only, so this test is exact
         dst = pdu.dst
-        if (dst.value == self.address if dst.kind == "unicast"
-                else dst.value in self.subscriptions):
+        if dst == self.address or dst in self.subscriptions:
             self._transport_receive(pdu)
         if (self.params.relay_enabled and pdu.ttl >= 2
                 and pdu.src != self.address):
@@ -420,7 +408,7 @@ class Node:
         idx, count, tag = pdu.seg
         key = (pdu.src, tag)
         if key in self._rx_done:
-            if pdu.dst.kind == "unicast":
+            if pdu.dst <= UNICAST_MAX:
                 self._send_block_ack(pdu.src, tag, range(count), pdu.app_msg_id)
             return
         buf = self._rx_bufs.get(key)
@@ -443,10 +431,10 @@ class Node:
             del self._rx_bufs[key]
             self._rx_done.add(key)
             payload = b"".join(buf.got[i] for i in range(count))
-            if pdu.dst.kind == "unicast":
+            if pdu.dst <= UNICAST_MAX:
                 self._send_block_ack(pdu.src, tag, range(count), pdu.app_msg_id)
             self._access_deliver(pdu.src, buf.kind, payload, buf.app_msg_id)
-        elif idx == count - 1 and pdu.dst.kind == "unicast":
+        elif idx == count - 1 and pdu.dst <= UNICAST_MAX:
             # the train has passed with gaps; report them without waiting
             # for the timer
             self._send_block_ack(pdu.src, tag, buf.got.keys(), pdu.app_msg_id)
@@ -459,14 +447,14 @@ class Node:
         if buf.idle >= REASSEMBLY_IDLE_ROUNDS:
             del self._rx_bufs[key]
             return
-        if buf.dst.kind == "unicast":
+        if buf.dst <= UNICAST_MAX:
             src, tag = key
             self._send_block_ack(src, tag, buf.got.keys(), buf.app_msg_id)
         buf.timer = self.engine.schedule_after(
             REASSEMBLY_TIMEOUT_US, self._reassembly_timeout, key)
 
-    def _send_block_ack(self, dst_value, tag, received, app_msg_id) -> None:
-        pdu = self._make_pdu(unicast(dst_value), b"", app_msg_id, kind="seg_ack",
+    def _send_block_ack(self, dst, tag, received, app_msg_id) -> None:
+        pdu = self._make_pdu(dst, b"", app_msg_id, kind="seg_ack",
                              ack_info=(tag, frozenset(received)))
         self._enqueue(pdu, self.params.n_adv_events_source)
 

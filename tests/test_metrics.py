@@ -11,6 +11,7 @@ import pytest
 import meshsim
 from meshsim.errors import ConfigError
 from meshsim.metrics import (
+    CSV_COLUMNS,
     DELIVERED,
     FLAGGED,
     LOST,
@@ -112,10 +113,15 @@ def test_messages_csv_roundtrip(tmp_path):
     assert "5.000" in text[1] and "9.000" in text[1]
     assert read_messages_csv(path) == records
 
-    bad = tmp_path / "bad.csv"
-    bad.write_text("nope,nope\n1,2\n")
-    with pytest.raises(ConfigError):
-        read_messages_csv(bad)
+    header = ",".join(CSV_COLUMNS)
+    for body, match in (
+            ("nope,nope\n1,2\n", "header"),
+            (f"{header}\nx,a,b,lost,0,,,,,0,3\n", "line 2"),
+            (f"{header}\n{text[1]}\n1,a,b,lost,0\n", "line 3")):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(body)
+        with pytest.raises(ConfigError, match=match):
+            read_messages_csv(bad)
 
 
 def test_summary_json_stable_bytes(tmp_path):

@@ -5,8 +5,13 @@ import pytest
 from meshsim import runner
 from meshsim.errors import ConfigError
 from meshsim.runner import compare_runs, run_experiment, run_many
-from meshsim.scenario import load_scenario
-from meshsim.topology import bundled_data_path, load_bundled_topology
+from meshsim.scenario import ScenarioConfig, load_scenario
+from meshsim.topology import (
+    Topology,
+    TopologyNode,
+    bundled_data_path,
+    load_bundled_topology,
+)
 
 
 def bundled(scenario: str, *overrides):
@@ -31,6 +36,17 @@ def test_compare_runs_rejects_arms_with_different_workloads():
     assert compare_runs(short, short).n_seeds == (5, 5)
     with pytest.raises(ConfigError, match="not comparable"):
         compare_runs(short, longer)
+
+
+def test_more_nodes_than_unicast_addresses_rejected_before_set_up():
+    # abstract nodes without loss lines: any set-up work on them would
+    # fail with another error, so only the address check can raise
+    ids = [f"n{i:05d}" for i in range(0x8000)]
+    topo = Topology({n: TopologyNode(n) for n in ids})
+    cfg = ScenarioConfig(pattern="one-to-many", controller=ids[0],
+                         slaves=(ids[1],), iterations=1)
+    with pytest.raises(ConfigError, match="32768 nodes exceed"):
+        run_experiment(topo, cfg, 1)
 
 
 def test_event_cap_raises(monkeypatch):

@@ -103,6 +103,10 @@ def test_zero_adv_interval_rejected():
     ("retry_interval_ms 0", "retry_interval_ms"),
     ("extended maybe", "extended"),
     ("period_ms 0", "period_ms"),
+    # 120,000 sends (40,000 iterations x 3 senders), all listed up front
+    ("iterations 40000", "iterations"),
+    # about 1.6e11 noise bursts over 159 s
+    ("interference_rate_per_s 1e9", "interference_rate_per_s"),
 ])
 def test_out_of_range_values_name_their_key(body, path):
     with pytest.raises(ConfigError, match=path):
@@ -217,6 +221,20 @@ def test_override_unknown_key_names_override():
     ScenarioConfig(senders=7, adv_interval_ms=10.0, scan_interval_ms=1000.0,
                    extended=True, power_control=True,
                    power_control_zeta_th_dbm=-80.0, relay_fraction=0.5),
+    # every field off its default, so a field whose type or metadata the
+    # derived key table misreads fails to round-trip
+    ScenarioConfig(
+        pattern="many-to-one", senders=5, mode="group-acked-fixed",
+        message_size_octets=19, iterations=7, period_ms=500.0, jitter_ms=2.5,
+        controller="n01", slaves=("n05", "n08"), adv_interval_ms=30.0,
+        adv_delay_max_ms=5.0, scan_interval_ms=100.0, scan_window_ms=30.0,
+        scan_turnaround_ms=10.0, tx_power_dbm=-4.0, n_adv_events_source=4,
+        n_adv_events_relay=3, relay_buffer_cap=2, retry_interval_ms=150.0,
+        retry_cap=3, default_ttl=5, relay_fraction=0.5, extended=True,
+        guard_s=30.0, power_control=True, power_control_zeta_th_dbm=-80.0,
+        power_control_margin_db=2.0, power_control_floor_dbm=-15.0,
+        power_control_window=8, interference_rate_per_s=5.0,
+        interference_power_dbm=-50.0),
 ])
 def test_document_round_trip(cfg):
     assert load_scenario(scenario_to_document(cfg)) == cfg

@@ -24,9 +24,7 @@ from meshsim.stack import (
     NetworkCache,
     Node,
     NodeParams,
-    group,
     segment_payload,
-    unicast,
 )
 from meshsim.tuning import PowerControlConfig
 
@@ -85,8 +83,8 @@ class World:
     def blackout(self, start_us, end_us, pair=None):
         self._blackouts.append((start_us, end_us, pair))
 
-    def publish_at(self, t_us, src, dst, payload, mode, msg_id):
-        self.engine.schedule(t_us, self.nodes[src].publish, dst, payload, mode, msg_id)
+    def publish_at(self, t_us, src, dst, payload, msg_id):
+        self.engine.schedule(t_us, self.nodes[src].publish, dst, payload, msg_id)
 
     def records(self, msg_id=None):
         recs = self.collector.records()
@@ -170,7 +168,7 @@ def property_octets(pdu):
 def test_pdu_octets_match_property_formula(ttl, fill):
     for kind in ("data", "app_ack", "seg_ack"):
         for size in range(381):
-            pdu = MeshPdu(1, unicast(2), 0, ttl, fill * size, 5, kind=kind)
+            pdu = MeshPdu(1, 2, 0, ttl, fill * size, 5, kind=kind)
             assert pdu.octets == property_octets(pdu)
             copy = pdu.relayed_copy()
             assert copy.octets == pdu.octets == property_octets(copy)
@@ -199,7 +197,7 @@ def quiet_params(**kw):
 
 def test_adv_event_cadence():
     w = World(["a", "b"], 300.0, params=quiet_params())
-    w.publish_at(0, "a", unicast(w.addr["b"]), b"x" * 11, "unicast", 1)
+    w.publish_at(0, "a", w.addr["b"], b"x" * 11, 1)
     w.engine.run(until=150_000)
     frames = w.sent_by("a")
     assert len(frames) == 9
@@ -215,8 +213,8 @@ def test_adv_event_cadence():
 
 def test_adv_queue_interleaves_pdus():
     w = World(["a", "b"], 300.0, params=quiet_params())
-    w.publish_at(0, "a", unicast(w.addr["b"]), b"m1", "unicast", 1)
-    w.publish_at(0, "a", unicast(w.addr["b"]), b"m2", "unicast", 2)
+    w.publish_at(0, "a", w.addr["b"], b"m1", 1)
+    w.publish_at(0, "a", w.addr["b"], b"m2", 2)
     w.engine.run(until=300_000)
     frames = w.sent_by("a")
     assert len(frames) == 18
@@ -248,7 +246,7 @@ def test_adv_queue_interleaves_pdus():
 
 def test_unicast_single_hop():
     w = World(["a", "b"], 60.0)
-    w.publish_at(0, "a", unicast(w.addr["b"]), b"cmd", "unicast", 1)
+    w.publish_at(0, "a", w.addr["b"], b"cmd", 1)
     w.engine.run_until_idle()
     (rec,) = w.records(1)
     assert rec.status == DELIVERED
@@ -262,7 +260,7 @@ def test_unicast_single_hop():
 def test_unicast_retries_until_link_returns():
     w = World(["a", "b"], 60.0)
     w.blackout(0, 1_000_000)
-    w.publish_at(0, "a", unicast(w.addr["b"]), b"cmd", "unicast", 1)
+    w.publish_at(0, "a", w.addr["b"], b"cmd", 1)
     w.engine.run_until_idle()
     (rec,) = w.records(1)
     assert rec.status == DELIVERED
@@ -275,15 +273,27 @@ def test_publish_rejects_oversized_payload():
     w = World(["a", "b"], 60.0)
     with pytest.raises(ConfigError, match="payload of 381 octets exceeds "
                                           "transport maximum 380"):
-        w.nodes["a"].publish(unicast(w.addr["b"]), bytes(381), "unicast", 1)
+        w.nodes["a"].publish(w.addr["b"], bytes(381), 1)
     w.engine.run_until_idle()
     assert w.frames == []
+
+
+@pytest.mark.parametrize("dst", [
+    3,          # unicast, but no node has it
+    0xC065,     # group, but not in groups
+    0x8000,     # virtual: neither unicast nor group
+])
+def test_publish_rejects_unknown_destination(dst):
+    w = World(["a", "b"], 60.0, groups={0xC064: ("b",)})
+    with pytest.raises(ConfigError, match="no node or group at address"):
+        w.nodes["a"].publish(dst, b"cmd", 1)
+    assert w.collector.records() == []
 
 
 def test_retry_cap_stops_republishing():
     w = World(["a", "b"], 60.0, params=NodeParams(retry_cap=2))
     w.blackout(0, 10 ** 12)
-    w.publish_at(0, "a", unicast(w.addr["b"]), b"cmd", "unicast", 1)
+    w.publish_at(0, "a", w.addr["b"], b"cmd", 1)
     w.engine.run_until_idle()
     (rec,) = w.records(1)
     assert rec.status == LOST
@@ -294,7 +304,7 @@ def test_retry_cap_stops_republishing():
 def test_guard_flags_runaway_retry():
     w = World(["a", "b"], 60.0, params=NodeParams(guard_us=1_000_000))
     w.blackout(0, 10 ** 12)
-    w.publish_at(0, "a", unicast(w.addr["b"]), b"cmd", "unicast", 1)
+    w.publish_at(0, "a", w.addr["b"], b"cmd", 1)
     w.engine.run_until_idle()
     (rec,) = w.records(1)
     assert rec.status == FLAGGED
@@ -305,7 +315,7 @@ def test_guard_flags_runaway_retry():
 def test_destination_acks_every_received_copy():
     w = World(["a", "b"], 60.0)
     w.blackout(0, 350_000, pair=("b", "a"))   # ack path only
-    w.publish_at(0, "a", unicast(w.addr["b"]), b"cmd", "unicast", 1)
+    w.publish_at(0, "a", w.addr["b"], b"cmd", 1)
     w.engine.run_until_idle()
     (rec,) = w.records(1)
     assert rec.status == DELIVERED
@@ -324,7 +334,7 @@ def chain3():
 
 def test_two_hop_needs_ttl_two():
     w = World(["a", "b", "c"], chain3(), params=NodeParams(default_ttl=2))
-    w.publish_at(0, "a", unicast(w.addr["c"]), b"cmd", "unicast", 1)
+    w.publish_at(0, "a", w.addr["c"], b"cmd", 1)
     w.engine.run_until_idle()
     (rec,) = w.records(1)
     assert rec.status == DELIVERED
@@ -337,7 +347,7 @@ def test_two_hop_needs_ttl_two():
 def test_ttl_one_never_relayed():
     w = World(["a", "b", "c"], chain3(),
               params=NodeParams(default_ttl=1, retry_cap=1))
-    w.publish_at(0, "a", unicast(w.addr["c"]), b"cmd", "unicast", 1)
+    w.publish_at(0, "a", w.addr["c"], b"cmd", 1)
     w.engine.run_until_idle()
     (rec,) = w.records(1)
     assert rec.status == LOST
@@ -349,7 +359,7 @@ def test_relay_disabled_breaks_the_path():
     w = World(["a", "b", "c"], chain3(),
               per_node={"b": NodeParams(relay_enabled=False, retry_cap=1)},
               params=NodeParams(retry_cap=1))
-    w.publish_at(0, "a", unicast(w.addr["c"]), b"cmd", "unicast", 1)
+    w.publish_at(0, "a", w.addr["c"], b"cmd", 1)
     w.engine.run_until_idle()
     (rec,) = w.records(1)
     assert rec.status == LOST
@@ -357,9 +367,9 @@ def test_relay_disabled_breaks_the_path():
 
 
 def test_group_publish_budget_and_ack():
-    w = World(["a", "b"], 60.0, groups={100: ("b",)})
-    w.nodes["b"].subscriptions.add(100)
-    w.publish_at(0, "a", group(100), b"cmd", "group", 1)
+    w = World(["a", "b"], 60.0, groups={0xC064: ("b",)})
+    w.nodes["b"].subscriptions.add(0xC064)
+    w.publish_at(0, "a", 0xC064, b"cmd", 1)
     w.engine.run_until_idle()
     (rec,) = w.records(1)
     assert rec.status == DELIVERED
@@ -371,10 +381,10 @@ def test_group_publish_budget_and_ack():
 
 def test_group_flood_terminates_without_loops():
     names = ["a", "b", "c", "d"]
-    w = World(names, 60.0, groups={100: ("b", "c", "d")})
+    w = World(names, 60.0, groups={0xC064: ("b", "c", "d")})
     for n in names[1:]:
-        w.nodes[n].subscriptions.add(100)
-    w.publish_at(0, "a", group(100), b"cmd", "group", 1)
+        w.nodes[n].subscriptions.add(0xC064)
+    w.publish_at(0, "a", 0xC064, b"cmd", 1)
     dispatched = w.engine.run_until_idle(max_events=50_000)
     assert dispatched < 50_000             # the flood must die out
     recs = w.records(1)
@@ -416,7 +426,7 @@ def test_segmented_roundtrip_lossless():
 
     sender._on_block_ack = ack_spy
     payload = bytes(range(19))
-    w.publish_at(0, "a", unicast(w.addr["b"]), payload, "unicast", 1)
+    w.publish_at(0, "a", w.addr["b"], payload, 1)
     w.engine.run_until_idle()
     (rec,) = w.records(1)
     assert rec.status == DELIVERED
@@ -433,7 +443,7 @@ def test_segmented_roundtrip_lossless():
 
 def test_twelve_octets_use_segmented_transport():
     w = World(["a", "b"], 60.0)
-    w.publish_at(0, "a", unicast(w.addr["b"]), bytes(12), "unicast", 1)
+    w.publish_at(0, "a", w.addr["b"], bytes(12), 1)
     w.engine.run_until_idle()
     (rec,) = w.records(1)
     assert rec.status == DELIVERED and rec.retransmissions == 0
@@ -450,7 +460,7 @@ def test_lost_segment_recovered_by_block_ack(seed):
     # event of the first pass is gone, and the 200 ms report gets through
     w.blackout(1_000, 150_000, pair=("a", "b"))
     payload = bytes(range(19))
-    w.publish_at(0, "a", unicast(w.addr["b"]), payload, "unicast", 1)
+    w.publish_at(0, "a", w.addr["b"], payload, 1)
     w.engine.run_until_idle()
     (rec,) = w.records(1)
     assert rec.status == DELIVERED
@@ -465,7 +475,7 @@ def test_lost_segment_recovered_by_block_ack(seed):
 def test_partial_buffer_acks_then_expires():
     w = World(["a", "b"], 60.0)
     w.collector.on_send(55, "a", ("b",), 0)
-    pdu = MeshPdu(w.addr["a"], unicast(w.addr["b"]), 0, 7, bytes(12), 55,
+    pdu = MeshPdu(w.addr["a"], w.addr["b"], 0, 7, bytes(12), 55,
                   seg=(0, 2, 9))
     w.engine.schedule(0, w.nodes["b"].receive_network_pdu, pdu)
     w.engine.run_until_idle()
@@ -483,7 +493,7 @@ def test_partial_buffer_acks_then_expires():
 
 def test_extended_event_structure():
     w = World(["a", "b"], 60.0, params=NodeParams(extended=True))
-    w.publish_at(0, "a", unicast(w.addr["b"]), bytes(50), "unicast", 1)
+    w.publish_at(0, "a", w.addr["b"], bytes(50), 1)
     w.engine.run_until_idle()
     (rec,) = w.records(1)
     assert rec.status == DELIVERED and rec.retransmissions == 0
@@ -506,7 +516,7 @@ def test_aux_requires_a_heard_indication():
     w = World(["a", "b"], 60.0, params=NodeParams(extended=True))
     # kill only the first event's indications; its aux is then invisible
     w.blackout(0, 2_280, pair=("a", "b"))
-    w.publish_at(0, "a", unicast(w.addr["b"]), bytes(50), "unicast", 1)
+    w.publish_at(0, "a", w.addr["b"], bytes(50), 1)
     w.engine.run_until_idle()
     (rec,) = w.records(1)
     assert rec.status == DELIVERED
@@ -518,14 +528,14 @@ def test_aux_requires_a_heard_indication():
 def test_controlled_power_engages_after_observation():
     ctl = NodeParams(power_control=PowerControlConfig())
     w = World(["a", "b"], 40.0, per_node={"a": ctl}, params=NodeParams())
-    w.publish_at(0, "a", unicast(w.addr["b"]), b"m1", "unicast", 1)
+    w.publish_at(0, "a", w.addr["b"], b"m1", 1)
 
     def fill_remaining_channels():
         w.nodes["a"].observer.observe(38, -40.0)
         w.nodes["a"].observer.observe(39, -40.0)
 
     w.engine.schedule(500_000, fill_remaining_channels)
-    w.publish_at(1_000_000, "a", unicast(w.addr["b"]), b"m2", "unicast", 2)
+    w.publish_at(1_000_000, "a", w.addr["b"], b"m2", 2)
     w.engine.run_until_idle()
 
     first_event = w.sent_by("a", kind="data")[:3]
