@@ -198,26 +198,51 @@ def write_messages_csv(records, path) -> None:
             ])
 
 
+def _row_problem(r: MessageRecord) -> str | None:
+    """Why no run writes record r, or None when one can."""
+    if r.status not in (DELIVERED, LOST, FLAGGED):
+        return f"unknown status {r.status!r}"
+    if r.status == DELIVERED and r.delivery_time_us is None:
+        return "status delivered without a delivery time"
+    if r.status == LOST and r.delivery_time_us is not None:
+        return "status lost with a delivery time"
+    for name, t in (("delivery", r.delivery_time_us), ("ack", r.ack_time_us)):
+        if t is not None and t < r.send_time_us:
+            return f"{name} at {t} µs before send at {r.send_time_us} µs"
+    if r.retransmissions < 0 or r.frames_total < 0:
+        return "negative retransmissions or frames_total"
+    return None
+
+
 def read_messages_csv(path) -> list[MessageRecord]:
+    """Records written by write_messages_csv; any other row raises ConfigError."""
     out = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
             raise ConfigError(f"unexpected message CSV header in {path}")
         for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            # DictReader puts the cells past the header under the key None
+            if None in row:
+                raise ConfigError(f"{where}: {len(row[None])} cell(s) past "
+                                  f"the {len(CSV_COLUMNS)} columns")
             try:
-                out.append(MessageRecord(
+                r = MessageRecord(
                     int(row["app_msg_id"]), row["source"], row["destination"],
                     int(row["send_time_us"]),
                     int(row["delivery_time_us"]) if row["delivery_time_us"] else None,
                     int(row["ack_time_us"]) if row["ack_time_us"] else None,
                     int(row["retransmissions"]), int(row["frames_total"]),
                     row["status"],
-                ))
+                )
             except (TypeError, ValueError) as exc:
                 # a short row fills its missing columns with None
-                raise ConfigError(f"{path}: line {reader.line_num}: bad message "
-                                  f"row: {exc}") from None
+                raise ConfigError(f"{where}: bad message row: {exc}") from None
+            problem = _row_problem(r)
+            if problem is not None:
+                raise ConfigError(f"{where}: {problem}")
+            out.append(r)
     return out
 
 

@@ -1,4 +1,4 @@
-"""Shared radio medium: path loss, airtime, occupancy and reception resolution.
+"""Shared radio medium: airtime, occupancy and reception resolution.
 
 The medium is time-sliced by the event kernel, never threaded.  A frame is
 registered when its transmission begins and resolved for every candidate
@@ -65,25 +65,6 @@ def airtime_us(pdu_octets: int, phy: PhyMode) -> int:
     if pdu_octets < 1:
         raise ConfigError(f"airtime of empty frame ({pdu_octets} octets)")
     return (phy.overhead_octets + pdu_octets) * 8 * 1_000_000 // phy.bit_rate
-
-
-def path_loss_db(
-    distance_m: float,
-    *,
-    ref_loss_db: float = 40.0,
-    exponent: float = 2.7,
-    ref_distance_m: float = 1.0,
-) -> float:
-    """Log-distance path loss; shadowing is added separately per frame.
-
-    Distances below the reference distance get the reference loss: the
-    log-distance law holds only in the far field.
-    """
-    if distance_m <= 0:
-        raise ConfigError(f"path loss of non-positive distance {distance_m}")
-    if distance_m < ref_distance_m:
-        distance_m = ref_distance_m
-    return ref_loss_db + 10.0 * exponent * math.log10(distance_m / ref_distance_m)
 
 
 class FrameKind(Enum):

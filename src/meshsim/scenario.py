@@ -13,6 +13,11 @@ value for that key before validation.
 
 The key table, ``_KEYS``, is derived from the ``ScenarioConfig`` fields at
 import, so a new knob is one field line.
+
+many-to-many draws fresh sender pairs each iteration, each pick uniform over
+the ordered pairs at least ``MIN_PAIR_HOPS`` apart that touch no node picked
+so far.  The pairs come from a ``topology.PairSpace``, which counts and
+indexes them without listing them.
 """
 
 from __future__ import annotations
@@ -20,12 +25,11 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .engine import RandomSource
 from .errors import ConfigError
-from .topology import Topology, document_lines
+from .topology import PairSpace, Topology, document_lines
 
 SCENARIO_HEADER = "meshsim-scenario v1"
 GROUP_ADDRESS = 0xC000
@@ -335,38 +339,20 @@ class ScheduledSend:
     size_octets: int
 
 
-def _pair_positions(eligible) -> dict[str, list[int]]:
-    """Each node's positions in `eligible`, ascending."""
-    out: dict[str, list[int]] = defaultdict(list)
-    for i, (a, b) in enumerate(eligible):
-        out[a].append(i)
-        out[b].append(i)
-    return out
-
-
-def _draw_disjoint_pairs(eligible, positions, k: int, rng: RandomSource):
-    """k pairs of `eligible` drawn one at a time, none sharing a node.
+def _draw_disjoint_pairs(space: PairSpace, k: int, rng: RandomSource):
+    """k pairs of `space` drawn one at a time, none sharing a node.
 
     Each pick is uniform over the pairs that touch no node picked so far:
-    it draws an index over those and maps it to a position of `eligible`
-    by skipping the sorted excluded positions, the pairs that touch a
-    picked node (`positions` is _pair_positions(eligible)).
+    it draws an index below their count and takes that free pair.
     """
     for _ in range(PAIR_DRAW_ATTEMPTS):
-        excluded: list[int] = []
+        space.clear()
         chosen: list[tuple[str, str]] = []
         for _ in range(k):
-            n = len(eligible) - len(excluded)
+            n = space.free
             if n == 0:
                 break
-            pos = min(int(rng.draw_uniform(0, n)), n - 1)
-            for e in excluded:
-                if e > pos:
-                    break
-                pos += 1
-            pair = eligible[pos]
-            chosen.append(pair)
-            excluded = sorted({*excluded, *positions[pair[0]], *positions[pair[1]]})
+            chosen.append(space.take(min(int(rng.draw_uniform(0, n)), n - 1)))
         if len(chosen) == k:
             return chosen
     raise ConfigError(
@@ -411,15 +397,13 @@ def build_traffic(topology: Topology, cfg: ScenarioConfig,
             raise ConfigError(
                 f"many-to-many({cfg.senders}) needs {2 * cfg.senders} distinct "
                 f"nodes, topology has {len(topology.nodes)}")
-        eligible = topology.eligible_pairs(MIN_PAIR_HOPS, cfg.tx_power_dbm)
-        if not eligible:
+        space = PairSpace(topology, MIN_PAIR_HOPS, cfg.tx_power_dbm)
+        if space.size == 0:
             raise ConfigError(
                 f"topology has no pairs >= {MIN_PAIR_HOPS} hops apart")
-        positions = _pair_positions(eligible)
         for m in range(cfg.iterations):
             t = iteration_start(m)
-            for src, dst in _draw_disjoint_pairs(eligible, positions,
-                                                 cfg.senders, rng):
+            for src, dst in _draw_disjoint_pairs(space, cfg.senders, rng):
                 sends.append((t, src, dst, None))
 
     sends.sort(key=lambda s: s[0])

@@ -10,14 +10,19 @@ Format (UTF-8, line oriented, ``#`` comments)::
 
 Coordinate pairs get log-distance path loss over the 3-D separation (floors
 are 3 m apart; pairs closer than the 1 m reference distance get the
-reference loss) plus the per-floor attenuation once per floor crossed.  Any
-pair involving an abstract node must be covered by a ``loss`` line.
+reference loss, as the law holds only in the far field) plus the per-floor
+attenuation once per floor crossed.  Shadowing is added per frame by the
+radio.  Any pair involving an abstract node must be covered by a ``loss``
+line.
 
 The losses live in one symmetric row table, ``rows[a][b]``, filled in a
 single pass over unordered pairs the first time a loss is needed.  The hop
 graph, ``loss_map`` and the radio's ``LinkModel`` all read that table; none
 copies it.  Loading checks only the pairs that can fail: those with an
 abstract node, and nodes found sharing a position through a dict.
+
+Sender pairs are never listed: a ``PairSpace`` counts them per source and
+finds the pos-th pair that touches no taken node.
 """
 
 from __future__ import annotations
@@ -30,11 +35,17 @@ from importlib.resources import files
 from types import MappingProxyType
 
 from .errors import ConfigError
-from .radio import PHY_1M, path_loss_db
+from .radio import PHY_1M
 
 TOPOLOGY_HEADER = "meshsim-topology v1"
 DEFAULT_FLOOR_ATTENUATION_DB = 15.0
 FLOOR_HEIGHT_M = 3.0
+
+# log-distance path loss: REF_LOSS_DB at the 1 m reference distance,
+# rising by 10 * PATH_LOSS_EXPONENT dB per decade of distance beyond it
+REF_LOSS_DB = 40.0
+PATH_LOSS_EXPONENT = 2.7
+_LOSS_PER_DECADE_DB = 10.0 * PATH_LOSS_EXPONENT
 
 # connectivity-graph edge rule: mean RSSI at full power clears sensitivity
 # by this margin (shadowing excluded)
@@ -125,6 +136,7 @@ class Topology:
             ids = self.node_ids
             rows: dict[str, dict[str, float]] = {a: {} for a in ids}
             att = self.floor_attenuation_db
+            hypot, log10 = math.hypot, math.log10
             # per node, in node_ids order: (id, floor, x, y, row)
             table = [(a, n.floor, n.x, n.y, rows[a])
                      for a, n in self.nodes.items()]
@@ -134,8 +146,14 @@ class Topology:
                     v = fixed.get(b)
                     if v is None:
                         dfloors = abs(fa - fb)
-                        d = math.hypot(xa - xb, ya - yb, FLOOR_HEIGHT_M * dfloors)
-                        v = path_loss_db(d) + att * dfloors
+                        d = hypot(xa - xb, ya - yb, FLOOR_HEIGHT_M * dfloors)
+                        if d < 1.0:
+                            if d <= 0:
+                                raise ConfigError(
+                                    f"nodes {a!r} and {b!r} share the same position")
+                            d = 1.0
+                        # log10(d / 1 m) is log10(d) for d in metres
+                        v = REF_LOSS_DB + _LOSS_PER_DECADE_DB * log10(d) + att * dfloors
                     row[b] = row_b[a] = v
             self._rows = rows
         return self._rows
@@ -160,29 +178,6 @@ class Topology:
             if nid not in self.nodes:
                 raise ConfigError(f"unknown node {nid!r}")
         return _hops_from(self.adjacency(tx_power_dbm), a).get(b, UNREACHABLE)
-
-    def eligible_pairs(self, min_hops: int = 2,
-                       tx_power_dbm: float = 0.0) -> tuple[tuple[str, str], ...]:
-        """Ordered (src, dst) pairs at least min_hops apart and reachable.
-
-        Reachable means in the same connected component; dst is too close
-        when it lies within min_hops - 1 hops of src.
-        """
-        adj = self.adjacency(tx_power_dbm)
-        ids = self.node_ids
-        # one list object per component, shared by its members, filled in
-        # node_ids order
-        members: dict[str, list[str]] = {}
-        for a in ids:
-            if a not in members:
-                members.update(dict.fromkeys(_hops_from(adj, a), []))
-        for a in ids:
-            members[a].append(a)
-        out: list[tuple[str, str]] = []
-        for a in ids:
-            near = _hops_from(adj, a, depth=min_hops - 1)
-            out.extend((a, b) for b in members[a] if b not in near)
-        return tuple(out)
 
 
 def _hops_from(adj: Mapping[str, tuple[str, ...]], src: str,
@@ -210,6 +205,80 @@ def _hops_from(adj: Mapping[str, tuple[str, ...]], src: str,
                     nxt.append(v)
         frontier = nxt
     return dist
+
+
+class PairSpace:
+    """Ordered (src, dst) pairs at least min_hops apart and reachable, unlisted.
+
+    dst lies in src's connected component but not "near" it, within
+    min_hops - 1 hops (src included); nearness is symmetric, as the
+    adjacency is.  Pairs run by src, then dst, in node_ids order.  take(pos)
+    returns the pos-th free pair, one touching no taken node, and takes its
+    nodes; `free` counts the free pairs and clear() frees every node.  An
+    untaken source's free pairs are its pairs, less the taken nodes of its
+    component, plus the taken nodes near it (never its pairs), so a pick
+    walks the sources with O(1) work each, then the chosen source's
+    component.
+    """
+
+    def __init__(self, topology: Topology, min_hops: int = 2,
+                 tx_power_dbm: float = 0.0):
+        adj = topology.adjacency(tx_power_dbm)
+        # per component: its members in node_ids order
+        self._members: list[list[str]] = []
+        comp: dict[str, int] = {}
+        for a in topology.node_ids:
+            if a not in comp:
+                comp.update(dict.fromkeys(_hops_from(adj, a), len(self._members)))
+                self._members.append([])
+            self._members[comp[a]].append(a)
+        # per node: the nodes near it, as hop counts
+        self._near = {a: _hops_from(adj, a, depth=min_hops - 1)
+                      for a in topology.node_ids}
+        # per source, in node_ids order: (component, pairs from it)
+        self._sources = {
+            a: (comp[a], len(self._members[comp[a]]) - len(self._near[a]))
+            for a in topology.node_ids}
+        self.size = sum(n for _, n in self._sources.values())
+        self.clear()
+
+    def clear(self) -> None:
+        self._taken: set[str] = set()
+        self._comp_taken = [0] * len(self._members)
+        self._near_taken: dict[str, int] = {}
+        self.free = self.size
+
+    def _take(self, a: str) -> None:
+        c, n = self._sources[a]
+        # the free pairs touching a: those from a and, by symmetry, as many to a
+        self.free -= 2 * (n - self._comp_taken[c] + self._near_taken.get(a, 0))
+        self._taken.add(a)
+        self._comp_taken[c] += 1
+        near_taken = self._near_taken
+        for b in self._near[a]:
+            near_taken[b] = near_taken.get(b, 0) + 1
+
+    def take(self, pos: int) -> tuple[str, str]:
+        """The pos-th free pair in pair order; both its nodes become taken."""
+        if not 0 <= pos < self.free:
+            raise IndexError(f"pair {pos} of {self.free} free pairs")
+        taken, comp_taken, near_taken = self._taken, self._comp_taken, self._near_taken
+        for src, (c, n) in self._sources.items():
+            if src in taken:
+                continue
+            k = n - comp_taken[c] + near_taken.get(src, 0)
+            if pos < k:
+                break
+            pos -= k
+        near = self._near[src]
+        for dst in self._members[c]:
+            if dst not in near and dst not in taken:
+                if pos == 0:
+                    break
+                pos -= 1
+        self._take(src)
+        self._take(dst)
+        return src, dst
 
 
 def flood_reaches_all(topology: Topology, relays: set[str],

@@ -117,7 +117,17 @@ def test_messages_csv_roundtrip(tmp_path):
     for body, match in (
             ("nope,nope\n1,2\n", "header"),
             (f"{header}\nx,a,b,lost,0,,,,,0,3\n", "line 2"),
-            (f"{header}\n{text[1]}\n1,a,b,lost,0\n", "line 3")):
+            (f"{header}\n{text[1]}\n1,a,b,lost,0\n", "line 3"),
+            # rows that parse but that no run writes
+            (f"{header}\n1,a,b,bogus,0,,,,,0,3\n", "line 2: unknown status 'bogus'"),
+            (f"{header}\n1,a,b,lost,0,,,,,0,3,extra\n", "line 2: 1 cell"),
+            (f"{header}\n{text[1]}\n1,a,b,delivered,-5,-9,,,,0,3\n",
+             "line 3: delivery at -9 µs before send"),
+            (f"{header}\n1,a,b,delivered,10,20,5,,,0,3\n", "line 2: ack at 5 µs before send"),
+            (f"{header}\n1,a,b,lost,0,,,,,-1,3\n", "line 2: negative"),
+            (f"{header}\n1,a,b,lost,0,,,,,0,-3\n", "line 2: negative"),
+            (f"{header}\n1,a,b,delivered,0,,,,,0,3\n", "line 2: status delivered without"),
+            (f"{header}\n1,a,b,lost,0,7,,,,0,3\n", "line 2: status lost with")):
         bad = tmp_path / "bad.csv"
         bad.write_text(body)
         with pytest.raises(ConfigError, match=match):

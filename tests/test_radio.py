@@ -20,7 +20,6 @@ from meshsim.radio import (
     Medium,
     Outcome,
     airtime_us,
-    path_loss_db,
 )
 
 CONTINUOUS = 10**9  # scan interval long enough that t stays in the first window
@@ -65,18 +64,6 @@ def test_airtime_examples():
 def test_airtime_monotonic_in_octets(n):
     assert airtime_us(n + 1, PHY_1M) > airtime_us(n, PHY_1M)
     assert airtime_us(n + 1, PHY_2M) > airtime_us(n, PHY_2M)
-
-
-def test_path_loss_reference_points():
-    assert path_loss_db(1.0) == pytest.approx(40.0)
-    assert path_loss_db(10.0) == pytest.approx(67.0)
-    # inside the reference distance the loss stays at the reference loss
-    assert path_loss_db(0.5) == 40.0
-    assert path_loss_db(1e-7) == 40.0
-    with pytest.raises(ConfigError):
-        path_loss_db(0.0)
-    with pytest.raises(ConfigError):
-        path_loss_db(-1.0)
 
 
 def test_frame_channel_kind_validation():

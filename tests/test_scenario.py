@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +10,7 @@ from meshsim.engine import RandomSource
 from meshsim.errors import ConfigError
 from meshsim.scenario import (
     GROUP_ADDRESS,
+    MIN_PAIR_HOPS,
     PAIR_DRAW_ATTEMPTS,
     ScenarioConfig,
     apply_overrides,
@@ -18,9 +20,14 @@ from meshsim.scenario import (
     scenario_to_document,
     _KEYS,
     _draw_disjoint_pairs,
-    _pair_positions,
 )
-from meshsim.topology import bundled_data_path, load_bundled_topology, load_topology
+from meshsim.topology import (
+    PairSpace,
+    bundled_data_path,
+    load_bundled_topology,
+    load_topology,
+)
+from test_topology import mixed_topologies, oracle_eligible_pairs, split_topologies
 
 HEADER = "meshsim-scenario v1"
 
@@ -381,40 +388,62 @@ def filtered_list_draw(eligible, k, rng):
             used.update(cand[idx])
         if len(chosen) == k:
             return chosen
-    raise ConfigError("no draw")
+    raise ConfigError(
+        f"could not draw {k} disjoint sender pairs with >= {MIN_PAIR_HOPS} "
+        f"hops after {PAIR_DRAW_ATTEMPTS} attempts")
 
 
-NAMES = [f"n{i}" for i in range(8)]
+def draw_or_error(draw, rng):
+    try:
+        return draw(rng)
+    except ConfigError as exc:
+        return str(exc)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(NAMES), st.sampled_from(NAMES))
-                .filter(lambda p: p[0] != p[1]), min_size=1, max_size=40, unique=True),
-       st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**32))
-def test_draw_disjoint_pairs_matches_filtered_list(eligible, k, seed):
-    eligible = tuple(eligible)
+@given(st.one_of(mixed_topologies(), split_topologies()),
+       st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=2**32))
+def test_draw_disjoint_pairs_matches_filtered_list(t, min_hops, k, seed):
+    eligible = oracle_eligible_pairs(t, min_hops)
+    space = PairSpace(t, min_hops)
     ref_rng, rng = RandomSource(seed), RandomSource(seed)
-    try:
-        expected = filtered_list_draw(eligible, k, ref_rng)
-    except ConfigError:
-        expected = None
-    try:
-        got = _draw_disjoint_pairs(eligible, _pair_positions(eligible), k, rng)
-    except ConfigError:
-        got = None
-    assert got == expected
-    # the same number of draws was taken
-    assert rng.random() == ref_rng.random()
+    for _ in range(2):   # the space is reused across draws, as per iteration
+        expected = draw_or_error(lambda r: filtered_list_draw(eligible, k, r), ref_rng)
+        got = draw_or_error(lambda r: _draw_disjoint_pairs(space, k, r), rng)
+        assert got == expected
+        # the same number of draws was taken
+        assert rng._rng.getstate() == ref_rng._rng.getstate()
 
 
 def test_draw_disjoint_pairs_matches_filtered_list_on_bundled_pairs():
-    eligible = load_bundled_topology("office_two_floor_20.topo").eligible_pairs(2)
-    positions = _pair_positions(eligible)
+    t = load_bundled_topology("office_two_floor_20.topo")
+    eligible = oracle_eligible_pairs(t, 2)
+    space = PairSpace(t, 2)
     for seed in range(20):
         ref_rng, rng = RandomSource(seed), RandomSource(seed)
         for _ in range(5):
-            assert _draw_disjoint_pairs(eligible, positions, 7, rng) \
+            assert _draw_disjoint_pairs(space, 7, rng) \
                 == filtered_list_draw(eligible, 7, ref_rng)
+
+
+def test_build_traffic_memory_does_not_grow_with_all_pairs():
+    # 2 floors x 10 rows x 20 columns at 14 m: 400 nodes, about 150k
+    # eligible ordered pairs, which a listed pair set would hold at once
+    lines = ["meshsim-topology v1"]
+    lines += [f"node g{f}-{r}-{c} {f} {14 * c} {14 * r}"
+              for f in range(2) for r in range(10) for c in range(20)]
+    t = load_topology("\n".join(lines))
+    cfg = ScenarioConfig(senders=3, iterations=100)
+    t.adjacency(cfg.tx_power_dbm)
+    tracemalloc.start()
+    try:
+        sends = build_traffic(t, cfg, RandomSource(1).stream("traffic"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sends) == 300
+    assert peak < 2_000_000
 
 
 SCENARIO_VALUES = ["0", "-1", "1", "3", "0.0004", "1e400", "nan", "-inf", "on",

@@ -20,6 +20,7 @@ from meshsim.radio import (
     airtime_us,
 )
 from meshsim.stack import (
+    RX_DONE_CAPACITY,
     MeshPdu,
     NetworkCache,
     Node,
@@ -487,6 +488,29 @@ def test_partial_buffer_acks_then_expires():
     assert (w.addr["a"], 9) not in w.nodes["b"]._rx_done
     (rec,) = w.records(55)
     assert rec.status == LOST
+
+
+def test_finished_reassemblies_age_out_oldest_first():
+    w = World(["a", "b"], 60.0)
+    b, src = w.nodes["b"], w.addr["a"]
+    delivered = []
+    b._access_deliver = lambda _src, _kind, _payload, msg_id: delivered.append(msg_id)
+
+    def finish(tag):
+        b._reassemble(MeshPdu(src, w.addr["b"], tag, 7, bytes(12), tag,
+                              seg=(0, 1, tag)))
+
+    for tag in range(RX_DONE_CAPACITY + 1):
+        finish(tag)
+    assert delivered == list(range(RX_DONE_CAPACITY + 1))
+    assert len(b._rx_done) == RX_DONE_CAPACITY
+    assert list(b._rx_done) == [(src, tag) for tag in range(1, RX_DONE_CAPACITY + 1)]
+    # a late segment of a remembered message is only re-acked; one of the
+    # aged-out message is delivered again
+    finish(1)
+    assert len(delivered) == RX_DONE_CAPACITY + 1
+    finish(0)
+    assert delivered[-1] == 0 and len(delivered) == RX_DONE_CAPACITY + 2
 
 
 # ------------------------------------------------------- extended advertising

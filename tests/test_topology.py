@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 import meshsim.topology
 from meshsim.errors import ConfigError
-from meshsim.radio import path_loss_db
 from meshsim.runner import run_experiment
 from meshsim.scenario import load_scenario
 from meshsim.topology import (
     DEFAULT_FLOOR_ATTENUATION_DB,
     FLOOR_HEIGHT_M,
     UNREACHABLE,
+    PairSpace,
     Topology,
     TopologyNode,
     bundled_data_path,
@@ -51,6 +51,24 @@ def test_cross_floor_adds_height_and_attenuation():
 def test_pair_inside_reference_distance_gets_reference_loss():
     assert topo("node a 0 0 0", "node b 0 0.5 0").path_loss_db("a", "b") == 40.0
     assert topo("node a 0 0 0", "node b 0 0 1e-7").path_loss_db("a", "b") == 40.0
+
+
+def test_path_loss_reference_points():
+    def loss(d):
+        return Topology({"a": TopologyNode("a", 0, 0.0, 0.0),
+                         "b": TopologyNode("b", 0, d, 0.0)}).path_loss_db("a", "b")
+
+    assert loss(1.0) == pytest.approx(40.0)
+    assert loss(10.0) == pytest.approx(67.0)
+    # inside the reference distance the loss stays at the reference loss
+    assert loss(0.5) == 40.0
+    assert loss(1e-7) == 40.0
+    # load_topology rejects shared positions; a Topology built directly
+    # meets the same rule in the loss pass
+    with pytest.raises(ConfigError, match="share the same position"):
+        loss(0.0)
+    with pytest.raises(ConfigError, match="share the same position"):
+        loss(-0.0)
 
 
 def test_floor_attenuation_override():
@@ -212,7 +230,7 @@ def test_bundled_two_floor_structure():
             if a not in ("n10", "n20") and b not in ("n10", "n20")]
     assert max(hops) == 4
     assert t.hop_distance("n01", "n19") == 4
-    assert len(t.eligible_pairs(2)) == 204
+    assert PairSpace(t, 2).size == 204
 
 
 def test_bundled_single_floor_is_single_hop():
@@ -302,10 +320,51 @@ def split_topologies(draw):
     return load_topology("\n".join(lines))
 
 
+@st.composite
+def mixed_topologies(draw):
+    """Placed and abstract nodes in several components.
+
+    Placed nodes sit on a 25 m lattice in one of three clusters 10 km
+    apart: lattice neighbours, diagonals included, are edges and nodes two
+    cells apart are not, so a cluster spans up to five hops.  Each abstract
+    node has a loss line to every other node, drawn around the 85 dB edge
+    limit or far above it, so it may join clusters or stand alone.
+    """
+    n_placed = draw(st.integers(min_value=0, max_value=10))
+    n_abstract = draw(st.integers(min_value=max(0, 2 - n_placed), max_value=4))
+    cells = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 5),
+                                    st.integers(0, 1)),
+                          min_size=n_placed, max_size=n_placed, unique=True))
+    names = draw(st.permutations([f"n{i}" for i in range(n_placed + n_abstract)]))
+    placed, abstract = names[:n_placed], names[n_placed:]
+    lines = [HEADER]
+    for name, (cluster, i, j) in zip(placed, cells):
+        lines.append(f"node {name} 0 {10_000 * cluster + 25 * i} {25 * j}")
+    lines += [f"node {name}" for name in abstract]
+    for i, a in enumerate(abstract):
+        for b in placed + abstract[i + 1:]:
+            loss = draw(st.sampled_from([60.0, 80.0, 85.0, 86.0, 120.0]))
+            lines.append(f"loss {a} {b} {loss}")
+    return load_topology("\n".join(lines))
+
+
+def enumerate_pair_space(space):
+    """Every pair of `space` in pair order: the pos-th free pair, nothing taken."""
+    out = []
+    for pos in range(space.size):
+        space.clear()
+        out.append(space.take(pos))
+    space.clear()
+    return tuple(out)
+
+
 @settings(max_examples=150, deadline=None)
-@given(split_topologies(), st.integers(min_value=1, max_value=3))
+@given(st.one_of(split_topologies(), mixed_topologies()),
+       st.integers(min_value=1, max_value=3))
 def test_eligible_pairs_match_per_source_oracle(t, min_hops):
-    assert t.eligible_pairs(min_hops) == oracle_eligible_pairs(t, min_hops)
+    space = PairSpace(t, min_hops)
+    assert enumerate_pair_space(space) == oracle_eligible_pairs(t, min_hops)
+    assert space.size == space.free == len(oracle_eligible_pairs(t, min_hops))
 
 
 @settings(max_examples=150, deadline=None)
@@ -316,18 +375,20 @@ def test_flood_reaches_all_matches_per_source_oracle(t, data):
 
 
 def test_pair_losses_computed_once(monkeypatch):
+    # the loss pass measures each placed pair's distance with math.hypot,
+    # looked up when the pass starts
     calls = []
-    real = meshsim.topology.path_loss_db
+    real = math.hypot
 
-    def counting(d):
-        calls.append(d)
-        return real(d)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(meshsim.topology, "path_loss_db", counting)
+    monkeypatch.setattr(meshsim.topology.math, "hypot", counting)
     t = load_bundled_topology("office_two_floor_20.topo")
     t.loss_map()
     t.adjacency(0.0)
-    t.eligible_pairs()
+    PairSpace(t)
     assert len(calls) == 20 * 19 // 2
     # a run reads the same table
     cfg = load_scenario(bundled_data_path("mm3.scn").read_text(encoding="utf-8"),
@@ -371,7 +432,10 @@ def oracle_pair_loss(t, a, b):
     na, nb = t.nodes[a], t.nodes[b]
     dfloors = abs(na.floor - nb.floor)
     d = math.hypot(na.x - nb.x, na.y - nb.y, FLOOR_HEIGHT_M * dfloors)
-    return path_loss_db(d) + t.floor_attenuation_db * dfloors
+    # the log-distance law as first written: 40 dB at the 1 m reference
+    # distance, exponent 2.7
+    path_loss = 40.0 + 10.0 * 2.7 * math.log10(max(d, 1.0) / 1.0)
+    return path_loss + t.floor_attenuation_db * dfloors
 
 
 @st.composite
