@@ -118,21 +118,25 @@ class ChannelFrame:
 
 
 class LinkModel:
-    """Pairwise propagation state: symmetric loss rows plus per-frame shadowing.
+    """Pairwise propagation state: an indexed loss table plus per-frame shadowing.
 
-    `rows[tx][rx]` is the loss in dB from tx to rx; it is kept as given,
-    not copied, so the caller's table must be symmetric and stay unchanged.
+    `loss` is an (index, table) pair, as Topology.loss_table() returns:
+    `table[index[tx]][index[rx]]` is the loss in dB from tx to rx, and inf
+    where tx is rx.  Both are kept as given, not copied, so the caller's
+    table must be symmetric and stay unchanged.
     """
 
-    def __init__(self, rows, *, shadowing_sigma_db: float = 4.0,
+    def __init__(self, loss, *, shadowing_sigma_db: float = 4.0,
                  capture_db: float = 10.0):
         if capture_db <= 0:
             raise ConfigError(f"capture threshold must be positive, got {capture_db}")
         if shadowing_sigma_db < 0:
             raise ConfigError(f"negative shadowing sigma {shadowing_sigma_db}")
+        if not math.isfinite(shadowing_sigma_db):
+            raise ConfigError(f"non-finite shadowing sigma {shadowing_sigma_db}")
         self.shadowing_sigma_db = shadowing_sigma_db
         self.capture_db = capture_db
-        self.rows = rows
+        self.index, self.table = loss
 
 
 class _Receiver:
@@ -187,23 +191,26 @@ class Medium:
         self._tx_end[node_id] = -math.inf
 
     def finalize(self, max_power_dbm: float) -> None:
-        """Precompute per-transmitter candidate tuples of (rx, loss, receiver, rand).
+        """Precompute each transmitter's candidate receivers.
 
-        A transmitter's candidates are the other registered receivers, in
-        registration order, whose mean RSSI at max_power_dbm can plausibly
-        clear the lower of the two PHYs' sensitivities (6-sigma slack).
-        receiver is the receiver's _Receiver and rand the bound generator
-        step of its channel stream.
+        Every registered receiver gets one state tuple (rx, receiver, rand,
+        j): receiver is its _Receiver, rand the bound generator step of its
+        channel stream and j its position in the loss table.  A
+        transmitter's candidates are a tuple of references to the states of
+        the receivers, in registration order, whose mean RSSI at
+        max_power_dbm can plausibly clear the lower of the two PHYs'
+        sensitivities (6-sigma slack); the inf loss to itself never does.
         """
         link = self.link
+        index, table = link.index, link.table
         floor = min(PHY_1M.sensitivity_dbm, PHY_2M.sensitivity_dbm)
-        slack = 6.0 * link.shadowing_sigma_db
-        state = [(rx, r, r.chan_rng.random) for rx, r in self._receivers.items()]
+        threshold = floor - 6.0 * link.shadowing_sigma_db
+        state = [(rx, r, r.chan_rng.random, index[rx])
+                 for rx, r in self._receivers.items()]
         for tx in self._receivers:
-            row = link.rows[tx]
+            row = table[index[tx]]
             self._candidates[tx] = tuple([
-                (rx, loss, r, rand) for rx, r, rand in state
-                if rx != tx and max_power_dbm - (loss := row[rx]) >= floor - slack])
+                s for s in state if max_power_dbm - row[s[3]] >= threshold])
 
     def begin_transmission(self, frame: ChannelFrame) -> None:
         """Register a frame on the air and schedule its resolution at frame.end.
@@ -254,7 +261,8 @@ class Medium:
         busy = {o.transmitter for o in concurrent}
         overlaps = [o for o in concurrent if o.channel == channel]
         link = self.link
-        rows = link.rows
+        index, table = link.index, link.table
+        row = table[index[frame.transmitter]]
         sigma = link.shadowing_sigma_db
         sens = frame.phy.sensitivity_dbm
         capture = link.capture_db
@@ -262,7 +270,7 @@ class Medium:
         cache = frame.rssi_cache
         primary = channel >= 37
         n_nl = n_bs = n_col = n_del = 0
-        for rx, loss, receiver, rand in candidates:
+        for rx, receiver, rand, j in candidates:
             if rx in busy:      # half duplex: rx transmitted during the frame
                 n_nl += 1
                 continue
@@ -271,7 +279,7 @@ class Medium:
                 u = rand()
                 if u <= 0.0:
                     u = 5e-324
-                rssi = power - loss + (0.0 + sigma * normal_quantile(u, 0.0, 1.0))
+                rssi = power - row[j] + (0.0 + sigma * normal_quantile(u, 0.0, 1.0))
                 cache[rx] = rssi
             if rssi < sens:
                 n_bs += 1
@@ -286,7 +294,7 @@ class Medium:
                         u = rand()
                         if u <= 0.0:
                             u = 5e-324
-                        other_rssi = (other.power_dbm - rows[other.transmitter][rx]
+                        other_rssi = (other.power_dbm - table[index[other.transmitter]][j]
                                       + (0.0 + sigma * normal_quantile(u, 0.0, 1.0)))
                     other.rssi_cache[rx] = other_rssi
                 if rssi - other_rssi < capture:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .engine import Engine, RandomSource
@@ -118,7 +117,7 @@ def run_experiment(topology: Topology, cfg: ScenarioConfig, seed: int) -> RunRes
     engine = Engine()
     # noise frames reach every receiver at the interference power, so the
     # env interferer needs no loss row
-    medium = Medium(engine, LinkModel(topology.loss_rows()),
+    medium = Medium(engine, LinkModel(topology.loss_table()),
                     ms_to_us(cfg.scan_interval_ms),
                     ms_to_us(cfg.scan_window_resolved_ms))
     addr = {nid: i + 1 for i, nid in enumerate(topology.node_ids)}
@@ -175,6 +174,9 @@ def run_many(topology: Topology, cfg: ScenarioConfig, seeds,
     if jobs <= 1 or len(seeds) == 1:
         results = [run_experiment(topology, cfg, s) for s in seeds]
     else:
+        # imported here: a single-process run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         work = [(topology, cfg, s) for s in seeds]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_one, work))

@@ -15,11 +15,14 @@ attenuation once per floor crossed.  Shadowing is added per frame by the
 radio.  Any pair involving an abstract node must be covered by a ``loss``
 line.
 
-The losses live in one symmetric row table, ``rows[a][b]``, filled in a
-single pass over unordered pairs the first time a loss is needed.  The hop
-graph, ``loss_map`` and the radio's ``LinkModel`` all read that table; none
-copies it.  Loading checks only the pairs that can fail: those with an
-abstract node, and nodes found sharing a position through a dict.
+The losses live in one symmetric table indexed by node position,
+``table[index[a]][index[b]]``, filled in a single pass over unordered pairs
+the first time a loss is needed; both halves of a pair hold the same float,
+and the diagonal holds ``inf``, so a filter on loss drops a node itself with
+no test.  The hop graph, ``loss_map`` and the radio's ``LinkModel`` all read
+that table; none copies it, and a pickled ``Topology`` leaves it out.
+Loading checks only the pairs that can fail: those with an abstract node,
+and nodes found sharing a position through a dict.
 
 Sender pairs are never listed: a ``PairSpace`` counts them per source and
 finds the pos-th pair that touches no taken node.
@@ -77,25 +80,37 @@ def _pair(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
+def _uncovered_pair(a: str, b: str, nodes: Mapping[str, TopologyNode]) -> str:
+    """The problem with a pair that has no loss entry and an abstract node."""
+    lack = "one node lacks" if nodes[a].placed or nodes[b].placed else "both nodes lack"
+    return f"pair ({a},{b}) has no loss entry and {lack} coordinates"
+
+
 class _PairView(Mapping):
-    """Read-only view of a row table keyed by ordered pairs (a, b)."""
+    """Read-only view of a loss table keyed by ordered pairs (a, b), a != b."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_index", "_table")
 
-    def __init__(self, rows: dict[str, dict[str, float]]):
-        self._rows = rows
+    def __init__(self, index: dict[str, int], table: list[list[float]]):
+        self._index = index
+        self._table = table
 
     def __getitem__(self, key: tuple[str, str]) -> float:
         a, b = key
-        return self._rows[a][b]
+        if a == b:
+            raise KeyError(key)
+        index = self._index
+        return self._table[index[a]][index[b]]
 
     def __iter__(self):
-        for a, row in self._rows.items():
-            for b in row:
-                yield a, b
+        for a in self._index:
+            for b in self._index:
+                if a != b:
+                    yield a, b
 
     def __len__(self) -> int:
-        return sum(map(len, self._rows.values()))
+        n = len(self._index)
+        return n * (n - 1)
 
 
 class Topology:
@@ -106,8 +121,15 @@ class Topology:
         self.nodes: dict[str, TopologyNode] = dict(nodes)
         self.floor_attenuation_db = float(floor_attenuation_db)
         self.overrides: dict[tuple[str, str], float] = dict(overrides or {})
-        self._rows: dict[str, dict[str, float]] | None = None
+        self._table: tuple[dict[str, int], list[list[float]]] | None = None
         self._adjacency: dict[float, dict[str, tuple[str, ...]]] = {}
+
+    def __getstate__(self) -> dict:
+        # the derived tables are rebuilt on demand, bit-identical
+        state = self.__dict__.copy()
+        state["_table"] = None
+        state["_adjacency"] = {}
+        return state
 
     @property
     def node_ids(self) -> tuple[str, ...]:
@@ -119,33 +141,41 @@ class Topology:
                 raise ConfigError(f"unknown node {nid!r}")
         if a == b:
             raise ConfigError(f"path loss of node {a!r} to itself")
-        return self.loss_rows()[a][b]
+        index, table = self.loss_table()
+        return table[index[a]][index[b]]
 
-    def loss_rows(self) -> dict[str, dict[str, float]]:
-        """rows[a][b]: loss in dB from a to every other node b; built once.
+    def loss_table(self) -> tuple[dict[str, int], list[list[float]]]:
+        """(index, table): table[index[a]][index[b]] is the loss in dB from a to b.
 
-        The table is symmetric and each row lists the other nodes in
-        node_ids order.  It is shared with every caller, who must not
-        change it.
+        index maps each node id to its position in node_ids, and table[i]
+        lists N losses in node_ids order, inf at i itself.  The table is
+        symmetric, built once and shared with every caller, who must not
+        change it.  A pair with an abstract node and no loss entry raises
+        ConfigError.
         """
-        if self._rows is None:
+        if self._table is None:
             over: dict[str, dict[str, float]] = {}
             for (a, b), v in self.overrides.items():
                 over.setdefault(a, {})[b] = v
                 over.setdefault(b, {})[a] = v
-            ids = self.node_ids
-            rows: dict[str, dict[str, float]] = {a: {} for a in ids}
+            n = len(self.nodes)
+            index = {a: i for i, a in enumerate(self.nodes)}
+            table = [[math.inf] * n for _ in range(n)]
             att = self.floor_attenuation_db
             hypot, log10 = math.hypot, math.log10
             # per node, in node_ids order: (id, floor, x, y, row)
-            table = [(a, n.floor, n.x, n.y, rows[a])
-                     for a, n in self.nodes.items()]
-            for i, (a, fa, xa, ya, row) in enumerate(table):
+            info = [(a, nd.floor, nd.x, nd.y, row)
+                    for (a, nd), row in zip(self.nodes.items(), table)]
+            for i, (a, fa, xa, ya, row) in enumerate(info):
                 fixed = over.get(a, {})
-                for b, fb, xb, yb, row_b in table[i + 1:]:
+                for j, (b, fb, xb, yb, row_b) in enumerate(info[i + 1:], i + 1):
                     v = fixed.get(b)
                     if v is None:
-                        dfloors = abs(fa - fb)
+                        try:
+                            dfloors = abs(fa - fb)
+                        except TypeError:   # an abstract node: floor is None
+                            raise ConfigError(
+                                _uncovered_pair(a, b, self.nodes)) from None
                         d = hypot(xa - xb, ya - yb, FLOOR_HEIGHT_M * dfloors)
                         if d < 1.0:
                             if d <= 0:
@@ -154,22 +184,23 @@ class Topology:
                             d = 1.0
                         # log10(d / 1 m) is log10(d) for d in metres
                         v = REF_LOSS_DB + _LOSS_PER_DECADE_DB * log10(d) + att * dfloors
-                    row[b] = row_b[a] = v
-            self._rows = rows
-        return self._rows
+                    row[j] = row_b[i] = v
+            self._table = index, table
+        return self._table
 
     def loss_map(self) -> Mapping[tuple[str, str], float]:
-        """Loss for every ordered pair; a read-only view of loss_rows()."""
-        return _PairView(self.loss_rows())
+        """Loss for every ordered pair of distinct nodes; a read-only view of loss_table()."""
+        return _PairView(*self.loss_table())
 
     def adjacency(self, tx_power_dbm: float = 0.0) -> Mapping[str, tuple[str, ...]]:
         """Hop-graph neighbours of every node; built once per power, read-only."""
         neigh = self._adjacency.get(tx_power_dbm)
         if neigh is None:
             limit = tx_power_dbm - (EDGE_SENSITIVITY_DBM + EDGE_MARGIN_DB)
+            ids = self.node_ids
             neigh = self._adjacency[tx_power_dbm] = {
-                a: tuple(b for b, v in row.items() if v <= limit)
-                for a, row in self.loss_rows().items()}
+                a: tuple([b for b, v in zip(ids, row) if v <= limit])
+                for a, row in zip(ids, self.loss_table()[1])}
         return MappingProxyType(neigh)
 
     def hop_distance(self, a: str, b: str, tx_power_dbm: float = 0.0) -> float:
@@ -444,12 +475,8 @@ def load_topology(text: str) -> Topology:
         a, b = ids[i], ids[j]
         if _pair(a, b) in overrides:
             continue
-        na, nb = nodes[a], nodes[b]
-        if not (na.placed and nb.placed):
-            errors.append(
-                f"pair ({a},{b}) has no loss entry and "
-                f"{'both nodes lack' if not (na.placed or nb.placed) else 'one node lacks'}"
-                " coordinates")
+        if not (nodes[a].placed and nodes[b].placed):
+            errors.append(_uncovered_pair(a, b, nodes))
         else:
             errors.append(f"nodes {a!r} and {b!r} share the same position")
 

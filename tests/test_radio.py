@@ -25,18 +25,23 @@ from meshsim.radio import (
 CONTINUOUS = 10**9  # scan interval long enough that t stays in the first window
 
 
-def loss_rows(losses):
-    """Symmetric rows[a][b] table from a {(a, b): dB} dict."""
-    rows = {}
+def loss_table(losses):
+    """Symmetric (index, table) from a {(a, b): dB} dict, inf on the diagonal.
+
+    A pair the dict leaves out holds None, so a read of it fails.
+    """
+    names = sorted({n for pair in losses for n in pair})
+    index = {n: i for i, n in enumerate(names)}
+    table = [[math.inf if i == j else None for j in range(len(names))]
+             for i in range(len(names))]
     for (a, b), v in losses.items():
-        rows.setdefault(a, {})[b] = v
-        rows.setdefault(b, {})[a] = v
-    return rows
+        table[index[a]][index[b]] = table[index[b]][index[a]] = v
+    return index, table
 
 
 def make_medium(losses, sigma=0.0, capture=10.0, scan_interval=CONTINUOUS, scan_window=None):
     eng = Engine()
-    link = LinkModel(loss_rows(losses), shadowing_sigma_db=sigma, capture_db=capture)
+    link = LinkModel(loss_table(losses), shadowing_sigma_db=sigma, capture_db=capture)
     med = Medium(eng, link, scan_interval,
                  scan_window if scan_window is not None else scan_interval)
     nodes = sorted({n for pair in losses for n in pair})
@@ -102,7 +107,15 @@ def test_frame_channel_check_matches_if_chain_oracle(kind):
 
 def test_capture_threshold_must_be_positive():
     with pytest.raises(ConfigError):
-        LinkModel(loss_rows({("a", "b"): 60.0}), capture_db=0.0)
+        LinkModel(loss_table({("a", "b"): 60.0}), capture_db=0.0)
+
+
+@pytest.mark.parametrize("sigma", [-1.0, math.inf, math.nan])
+def test_shadowing_sigma_must_be_finite_and_non_negative(sigma):
+    # an infinite slack would let the inf loss on the diagonal through the
+    # candidate prune, making a node a candidate for its own frames
+    with pytest.raises(ConfigError, match="shadowing sigma"):
+        LinkModel(loss_table({("a", "b"): 60.0}), shadowing_sigma_db=sigma)
 
 
 @settings(max_examples=150, deadline=None)
@@ -114,19 +127,26 @@ def test_candidates_match_per_pair_prune(data):
     losses = {(a, b): data.draw(st.sampled_from([100.0, 113.9, 114.0, 114.1, 130.0]))
               for a, b in itertools.combinations(sorted(names), 2)}
     power = data.draw(st.sampled_from([0.0, -0.5]))
-    rows = loss_rows(losses)
-    med = Medium(Engine(), LinkModel(rows, shadowing_sigma_db=4.0), CONTINUOUS, CONTINUOUS)
+    index, table = loss_table(losses)
+    med = Medium(Engine(), LinkModel((index, table), shadowing_sigma_db=4.0),
+                 CONTINUOUS, CONTINUOUS)
     root = RandomSource(1)
     for n in names:
         med.register(n, root.stream(n), lambda f, r: None)
     med.finalize(power)
     floor = min(PHY_1M.sensitivity_dbm, PHY_2M.sensitivity_dbm)
+    state = {}      # rx -> the one state tuple every candidate list shares
     for tx in names:
-        expected = [(rx, rows[tx][rx]) for rx in names
-                    if rx != tx and power - rows[tx][rx] >= floor - 6.0 * 4.0]
+        expected = [rx for rx in names if rx != tx
+                    and power - losses[tuple(sorted((tx, rx)))] >= floor - 6.0 * 4.0]
         got = med._candidates[tx]
-        assert [(rx, loss) for rx, loss, _, _ in got] == expected
-        assert all(receiver is med._receivers[rx] for rx, _, receiver, _ in got)
+        assert [rx for rx, _, _, _ in got] == expected
+        for c in got:
+            rx, receiver, rand, j = c
+            assert receiver is med._receivers[rx]
+            assert j == index[rx]
+            assert table[index[tx]][j] == losses[tuple(sorted((tx, rx)))]
+            assert state.setdefault(rx, c) is c
 
 
 def test_lone_frame_delivered_to_scanning_neighbors():
@@ -355,7 +375,7 @@ def run_impl(nodes, frames, loss):
     without on_frame (the frame cleared sensitivity but lost on capture).
     """
     eng = Engine()
-    link = LinkModel(loss_rows(loss), shadowing_sigma_db=0.0, capture_db=CAPTURE)
+    link = LinkModel(loss_table(loss), shadowing_sigma_db=0.0, capture_db=CAPTURE)
     med = Medium(eng, link, CONTINUOUS, CONTINUOUS)
     index = {}                  # ChannelFrame -> its position in `frames`
     resolving = []              # frames in the order the medium resolves them

@@ -1,8 +1,16 @@
 """Experiment orchestration: multi-seed fan-out, arm comparison, the event cap."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import pytest
 
+import meshsim
 from meshsim import runner
+from meshsim.engine import Engine
 from meshsim.errors import ConfigError
 from meshsim.runner import compare_runs, run_experiment, run_many
 from meshsim.scenario import ScenarioConfig, load_scenario
@@ -11,6 +19,7 @@ from meshsim.topology import (
     TopologyNode,
     bundled_data_path,
     load_bundled_topology,
+    load_topology,
 )
 
 
@@ -26,6 +35,47 @@ def test_run_many_same_results_in_process_and_in_pool():
     pooled = run_many(topo, cfg, [4, 9], jobs=2)
     assert list(serial) == list(pooled) == [4, 9]
     assert serial == pooled
+
+
+def test_importing_meshsim_loads_no_process_pool():
+    # only run_many's pooled branch needs a process pool; a fresh
+    # interpreter shows what importing every module loads
+    code = ("import importlib, pkgutil, sys, meshsim\n"
+            "for m in pkgutil.iter_modules(meshsim.__path__):\n"
+            "    importlib.import_module('meshsim.' + m.name)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    src = str(Path(meshsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
+def test_setup_of_400_node_grid_stays_small(monkeypatch):
+    # set-up keeps one float per pair and one state tuple per receiver; the
+    # per-pair dict rows and candidate tuples before it peaked at 21.7 MB
+    class LoopReached(Exception):
+        pass
+
+    def stop(engine, max_events=None):
+        raise LoopReached
+
+    monkeypatch.setattr(Engine, "run_until_idle", stop)
+    lines = ["meshsim-topology v1"]
+    for n in range(400):
+        floor, row, col = n // 200, n // 20 % 10, n % 20
+        lines.append(f"node g{n + 1:03d} {floor} {14.0 * col:g} {14.0 * row:g}")
+    cfg = bundled("mm3.scn", "iterations=2", "relay_fraction=0.5")
+    tracemalloc.start()
+    try:
+        with pytest.raises(LoopReached):
+            run_experiment(load_topology("\n".join(lines)), cfg, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
 
 
 def test_compare_runs_rejects_arms_with_different_workloads():

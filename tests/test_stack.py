@@ -46,10 +46,14 @@ class World:
         if isinstance(loss, (int, float)):
             loss = {(a, b): float(loss)
                     for i, a in enumerate(names) for b in names[i + 1:]}
-        rows = {n: {} for n in names}
+        index = {n: i for i, n in enumerate(names)}
+        # a pair `loss` leaves out holds None, so a read of it fails
+        table = [[math.inf if i == j else None for j in range(len(names))]
+                 for i in range(len(names))]
         for (a, b), v in loss.items():
-            rows[a][b] = rows[b][a] = v
-        self.medium = Medium(self.engine, LinkModel(rows, shadowing_sigma_db=sigma),
+            table[index[a]][index[b]] = table[index[b]][index[a]] = v
+        self.medium = Medium(self.engine,
+                             LinkModel((index, table), shadowing_sigma_db=sigma),
                              SCAN_US, SCAN_US)
         self.addr = {n: i + 1 for i, n in enumerate(names)}
         directory = {v: n for n, v in self.addr.items()}

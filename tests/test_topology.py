@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -160,6 +161,13 @@ def test_fewer_than_two_nodes_rejected():
 def test_abstract_node_needs_loss_cover():
     with pytest.raises(ConfigError, match=r"pair \(a,b\) has no loss entry"):
         topo("node a 0 0 0", "node b")
+    # a Topology built directly meets the same rule in the loss pass
+    for nodes, lack in (((TopologyNode("a"), TopologyNode("b", 0, 0.0, 0.0)), "one node"),
+                        ((TopologyNode("a"), TopologyNode("b")), "both nodes")):
+        t = Topology({n.node_id: n for n in nodes})
+        with pytest.raises(ConfigError,
+                           match=rf"^pair \(a,b\) has no loss entry and {lack} lack"):
+            t.loss_table()
 
 
 def test_identical_positions_rejected():
@@ -397,6 +405,55 @@ def test_pair_losses_computed_once(monkeypatch):
     assert len(calls) == 20 * 19 // 2
 
 
+@st.composite
+def loss_table_topologies(draw):
+    """mixed_topologies() built directly, on up to three floors, with some
+    placed pairs given a loss line too."""
+    t = draw(mixed_topologies())
+    nodes = {a: TopologyNode(a, draw(st.integers(0, 2)), n.x, n.y) if n.placed else n
+             for a, n in t.nodes.items()}
+    overrides = dict(t.overrides)
+    placed = [a for a, n in nodes.items() if n.placed]
+    for a, b in itertools.combinations(placed, 2):
+        if draw(st.booleans()):
+            overrides[(min(a, b), max(a, b))] = draw(st.sampled_from([60.0, 85.0, 120.0]))
+    return Topology(nodes, draw(st.sampled_from([0.0, 15.0, 25.5])), overrides)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(split_topologies(), loss_table_topologies()))
+def test_loss_table_matches_per_pair_oracle(t):
+    ids = t.node_ids
+    index, table = t.loss_table()
+    assert index == {a: i for i, a in enumerate(ids)}
+    for a, i in index.items():
+        assert len(table[i]) == len(ids) and table[i][i] == math.inf
+        for b, j in index.items():
+            if b != a:
+                assert table[i][j] is table[j][i]   # one float per pair
+                assert table[i][j] == oracle_pair_loss(t, a, b)
+    for power in (-5.0, 0.0, 2.0):
+        # the edge rule: mean RSSI clears the -90 dBm sensitivity by 5 dB
+        assert dict(t.adjacency(power)) == {
+            a: tuple(b for b in ids if b != a and oracle_pair_loss(t, a, b) <= power + 85.0)
+            for a in ids}
+
+
+def test_pickle_leaves_out_derived_tables():
+    t = load_bundled_topology("office_two_floor_20.topo")
+    size = len(pickle.dumps(t))
+    index, table = t.loss_table()
+    adjacency = dict(t.adjacency())
+    t.adjacency(2.0)
+    assert len(pickle.dumps(t)) == size
+    copy = pickle.loads(pickle.dumps(t))
+    copy_index, copy_table = copy.loss_table()
+    assert copy_index == index
+    assert [[v.hex() for v in row] for row in copy_table] == \
+        [[v.hex() for v in row] for row in table]
+    assert dict(copy.adjacency()) == adjacency
+
+
 def test_loss_map_is_read_only():
     t = load_bundled_topology("office_two_floor_20.topo")
     with pytest.raises(TypeError):
@@ -405,7 +462,7 @@ def test_loss_map_is_read_only():
 
 # ----------------------------------------- reference oracles (checks, losses)
 # The parent's all-pairs spellings: load_topology visits only the pairs that
-# can fail a check, and loss_rows() fills the table in one pass.
+# can fail a check, and loss_table() fills the table in one pass.
 
 def oracle_pair_errors(nodes, overrides):
     errors = []
@@ -482,12 +539,13 @@ def test_load_topology_checks_match_all_pairs_oracle(case):
         assert str(exc.value) == "invalid topology:\n  " + "\n  ".join(errors)
         return
     t = load_topology(text)
-    rows = t.loss_rows()
-    assert list(rows) == list(t.node_ids)
-    for a in t.node_ids:
-        assert list(rows[a]) == [b for b in t.node_ids if b != a]
-        for b in rows[a]:
-            assert rows[a][b] == rows[b][a] == oracle_pair_loss(t, a, b)
+    index, table = t.loss_table()
+    assert list(index) == list(t.node_ids)
+    for a, i in index.items():
+        assert len(table[i]) == len(index) and table[i][i] == math.inf
+        for b, j in index.items():
+            if b != a:
+                assert table[i][j] == table[j][i] == oracle_pair_loss(t, a, b)
 
 
 TOPOLOGY_TOKENS = ["node", "loss", "floor-attenuation-db", "a", "b", "c", "0",
@@ -517,4 +575,6 @@ def test_any_topology_text_loads_or_raises_config_error(text):
         t = load_topology(text)
     except ConfigError:
         return
-    assert all(math.isfinite(v) for row in t.loss_rows().values() for v in row.values())
+    _, table = t.loss_table()
+    assert all(math.isfinite(v) for i, row in enumerate(table)
+               for j, v in enumerate(row) if j != i)
