@@ -1,8 +1,10 @@
 """Experiment orchestration: assemble a world from documents and run it.
 
-One call to run_experiment builds the full node set for a topology, expands
-the scenario's traffic schedule, runs the kernel until every retry, guard,
-and reassembly timer has drained, and returns the per-message records.
+One call to run_experiment expands the scenario's traffic schedule, draws
+the relay subset (choose_relays), builds one stack.Node per topology node
+from the run's ScenarioConfig and that node's relay flag, runs the kernel
+until every retry, guard, and reassembly timer has drained, and returns the
+per-message records.
 Multi-seed runs fan out over a process pool; results carry everything the
 exporters and the bootstrap comparison need.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .engine import Engine, RandomSource
 from .errors import ConfigError
@@ -25,13 +28,13 @@ from .radio import (
     Medium,
 )
 from .scenario import GROUP_ADDRESS, ScenarioConfig, build_traffic, ms_to_us, s_to_us
-from .stack import UNICAST_MAX, Node, NodeParams
+from .stack import UNICAST_MAX, Node
 from .topology import Topology, flood_reaches_all
-from .tuning import PowerControlConfig, select_relays
 
 # hard stop against non-terminating schedules; generous next to the ~1M
 # events of the largest bundled run
 MAX_EVENTS_PER_RUN = 50_000_000
+RELAY_DRAW_ATTEMPTS = 200
 
 ENV_TRANSMITTER = "env"
 NOISE_BURST_OCTETS = 30
@@ -49,40 +52,26 @@ class RunResult:
     events_dispatched: int
 
 
-def node_params(cfg: ScenarioConfig, relay_enabled: bool) -> NodeParams:
-    pc = None
-    if cfg.power_control:
-        pc = PowerControlConfig(
-            p_max_dbm=cfg.tx_power_dbm,
-            zeta_th_dbm=cfg.power_control_zeta_th_dbm,
-            margin_db=cfg.power_control_margin_db,
-            floor_dbm=cfg.power_control_floor_dbm,
-            window=cfg.power_control_window)
-    return NodeParams(
-        relay_enabled=relay_enabled,
-        tx_power_dbm=cfg.tx_power_dbm,
-        n_adv_events_source=cfg.n_adv_events_source,
-        n_adv_events_relay=cfg.n_adv_events_relay,
-        relay_buffer_cap=cfg.relay_buffer_cap,
-        adv_interval_us=ms_to_us(cfg.adv_interval_ms),
-        adv_delay_max_us=ms_to_us(cfg.adv_delay_max_ms),
-        retry_interval_us=ms_to_us(cfg.retry_interval_ms),
-        retry_cap=cfg.retry_cap,
-        default_ttl=cfg.default_ttl,
-        guard_us=s_to_us(cfg.guard_s),
-        extended=cfg.extended,
-        power_control=pc)
-
-
 def choose_relays(topology: Topology, cfg: ScenarioConfig,
                   rng: RandomSource) -> frozenset[str]:
-    """Relay subset for the run; partial subsets must still flood everywhere."""
+    """Relay subset for the run; partial subsets must still flood everywhere.
+
+    A partial subset is ceil(relay_fraction * N) node ids drawn uniformly
+    without replacement, redrawn at most RELAY_DRAW_ATTEMPTS times.
+    """
     if cfg.relay_fraction >= 1.0:
         return frozenset(topology.node_ids)
-    return frozenset(select_relays(
-        topology.node_ids, cfg.relay_fraction, rng,
-        acceptable=lambda chosen: flood_reaches_all(
-            topology, set(chosen), cfg.tx_power_dbm)))
+    # the ceiling of the decimal the scenario gave; the float product
+    # overshoots it (0.55 * 100 is 55.00000000000001)
+    k = math.ceil(Fraction(repr(cfg.relay_fraction)) * len(topology.node_ids))
+    ordered = sorted(topology.node_ids)
+    for _ in range(RELAY_DRAW_ATTEMPTS):
+        chosen = frozenset(rng.sample(ordered, k))
+        if flood_reaches_all(topology, set(chosen), cfg.tx_power_dbm):
+            return chosen
+    raise ConfigError(
+        f"no relay subset of size {k} reaches every node in "
+        f"{RELAY_DRAW_ATTEMPTS} draws")
 
 
 def _emit_noise(medium: Medium, channel: int, power_dbm: float, start: int) -> None:
@@ -129,7 +118,7 @@ def run_experiment(topology: Topology, cfg: ScenarioConfig, seed: int) -> RunRes
     nodes: dict[str, Node] = {}
     for nid in topology.node_ids:
         nodes[nid] = Node(
-            nid, addr[nid], node_params(cfg, nid in relays), engine, medium,
+            nid, addr[nid], cfg, nid in relays, engine, medium,
             root.stream(f"proto:{nid}"), root.stream(f"chan:{nid}"),
             collector, directory, groups)
     for s in groups.get(GROUP_ADDRESS, ()):

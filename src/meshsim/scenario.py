@@ -76,9 +76,9 @@ class ScenarioConfig:
     tx_power_dbm: float = 0.0
     n_adv_events_source: int = 3
     n_adv_events_relay: int = 2
-    relay_buffer_cap: int = 5
+    relay_buffer_cap: int = 5       # relay PDUs held at once; excess is dropped
     retry_interval_ms: float = 200.0
-    retry_cap: int = 0
+    retry_cap: int = 0              # 0 = retry until acknowledged (or guard)
     default_ttl: int = 7
     relay_fraction: float = 1.0
     extended: bool = False
@@ -143,8 +143,9 @@ class ScenarioConfig:
         check(self.guard_s > 0, "guard_s: must be > 0")
         check(self.power_control_window >= 1,
               "power_control.window: must be >= 1")
-        check(self.power_control_floor_dbm <= self.tx_power_dbm,
-              "power_control.floor_dbm: above tx_power_dbm")
+        if self.power_control:
+            check(self.power_control_floor_dbm <= self.tx_power_dbm,
+                  "power_control.floor_dbm: above tx_power_dbm")
         check(self.interference_rate_per_s >= 0,
               "interference_rate_per_s: must be >= 0")
         # a positive time that rounds to 0 µs stalls, divides by zero or

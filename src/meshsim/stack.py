@@ -27,27 +27,26 @@ Message path, source to destination:
   relay buffer, a publication copy, a place in a segment round), run
   after the job's last event.
 
+runner.run_experiment builds one Node per topology node.  Each reads the
+run's ScenarioConfig as it stands and holds its relay flag, which
+runner.choose_relays decides.  Power control (RssiObserver and
+controlled_power_dbm) and the extended-advertising pointer (AuxPointer)
+live here, with the advertiser that uses them.
+
 Wire headers are folded into the PHY frame overhead, so PDU octet counts
 equal payload octet counts (with small fixed sizes for control PDUs).
 """
 
 import heapq
 import logging
-from collections import OrderedDict
-from dataclasses import dataclass
+from collections import OrderedDict, deque
+from dataclasses import dataclass, field
 from functools import partial
 
 from .engine import Engine, RandomSource
 from .errors import ConfigError
 from .radio import ADV, AUX, EXT_IND, PHY_1M, PHY_2M, ChannelFrame, Medium, airtime_us
-from .tuning import (
-    EXT_AUX_OFFSET_US,
-    EXT_INDICATION_OCTETS,
-    AuxPointer,
-    PowerControlConfig,
-    RssiObserver,
-    controlled_power_dbm,
-)
+from .scenario import ScenarioConfig, ms_to_us, s_to_us
 
 log = logging.getLogger(__name__)
 
@@ -65,6 +64,8 @@ MAX_TTL = 127
 MAX_SEQ = 1 << 24
 GROUP_ADV_EVENTS = 2               # fixed per-message budget in group mode
 INTER_CHANNEL_GAP_US = 400
+EXT_INDICATION_OCTETS = 10
+EXT_AUX_OFFSET_US = 1_000
 BLOCK_ACK_OCTETS = 7
 APP_ACK_OCTETS = 4
 REASSEMBLY_TIMEOUT_US = 200_000
@@ -150,21 +151,51 @@ class NetworkCache(OrderedDict):
             self.popitem(last=False)
 
 
+class RssiObserver:
+    """Sliding-window minimum of overheard RSSI, kept per primary channel."""
+
+    __slots__ = ("_windows",)
+
+    def __init__(self, window: int):
+        self._windows = {ch: deque(maxlen=window) for ch in (37, 38, 39)}
+
+    def observe(self, channel: int, rssi_dbm: float) -> None:
+        self._windows[channel].append(rssi_dbm)
+
+    def channel_minima(self) -> dict:
+        return {ch: min(w) for ch, w in self._windows.items() if w}
+
+    def floor_dbm(self) -> float | None:
+        """Min across the three per-channel minima; None until all have samples."""
+        minima = self.channel_minima()
+        if len(minima) < 3:
+            return None
+        return min(minima.values())
+
+
+def controlled_power_dbm(cfg: ScenarioConfig, observer: RssiObserver) -> float:
+    """Transmit power for the next advertising event.
+
+    The dB form of the control law, with tx_power_dbm as p_max:
+    p_max - p_r + zeta_th + margin, clamped to [floor, p_max].  The gate
+    stays closed (full power) until every primary channel has contributed
+    at least one sample.
+    """
+    p_max = cfg.tx_power_dbm
+    p_r = observer.floor_dbm()
+    if p_r is None:
+        return p_max
+    raw = p_max - p_r + cfg.power_control_zeta_th_dbm + cfg.power_control_margin_db
+    return min(p_max, max(cfg.power_control_floor_dbm, raw))
+
+
 @dataclass
-class NodeParams:
-    relay_enabled: bool = True
-    tx_power_dbm: float = 0.0
-    n_adv_events_source: int = 3
-    n_adv_events_relay: int = 2
-    relay_buffer_cap: int = 5       # relay PDUs held at once; excess is dropped
-    adv_interval_us: int = 20_000
-    adv_delay_max_us: int = 10_000
-    retry_interval_us: int = 200_000
-    retry_cap: int = 0              # 0 = retry until acknowledged (or guard)
-    default_ttl: int = 7
-    guard_us: int = 60_000_000
-    extended: bool = False
-    power_control: PowerControlConfig | None = None
+class AuxPointer:
+    """Shared target of one extended-advertising event's three indications."""
+
+    channel: int
+    start_us: int
+    eligible: set = field(default_factory=set)
 
 
 class _AdvJob:
@@ -230,14 +261,28 @@ class _RxBuf:
 
 
 class Node:
-    """One mesh node bound to the shared engine and radio medium."""
+    """One mesh node bound to the shared engine and radio medium.
 
-    def __init__(self, node_id, address: int, params: NodeParams, engine: Engine,
-                 medium: Medium, proto_rng: RandomSource, chan_rng: RandomSource,
+    cfg is the run's scenario, read as it stands; the four times the node
+    schedules with are converted to µs once, here.
+
+    Keep a node at 29 instance attributes or fewer: CPython 3.11 stores
+    no more than that inline, and past it every ``self.x`` read on the
+    per-frame path takes the slower dict lookup.
+    """
+
+    def __init__(self, node_id, address: int, cfg: ScenarioConfig,
+                 relay_enabled: bool, engine: Engine, medium: Medium,
+                 proto_rng: RandomSource, chan_rng: RandomSource,
                  collector, directory: dict, groups: dict):
         self.node_id = node_id
         self.address = address
-        self.params = params
+        self.cfg = cfg
+        self.relay_enabled = relay_enabled
+        self.adv_interval_us = ms_to_us(cfg.adv_interval_ms)
+        self.adv_delay_max_us = ms_to_us(cfg.adv_delay_max_ms)
+        self.retry_interval_us = ms_to_us(cfg.retry_interval_ms)
+        self.guard_us = s_to_us(cfg.guard_s)
         self.engine = engine
         self.medium = medium
         self.rng = proto_rng
@@ -251,24 +296,22 @@ class Node:
         # advertiser: a heap of (due, enqueue order, job) for every job not
         # on the air.  While an event is in progress _in_service is set and
         # nothing else starts; while the radio is idle with jobs waiting,
-        # exactly one wakeup is pending at the earliest due time
+        # exactly one wakeup is pending at the earliest due time, held as
+        # (due, engine handle)
         self._adv_heap: list = []
         self._adv_order = 0
         self._in_service = False
         self._wakeup = None
-        self._wakeup_at = 0
         self._relay_backlog = 0
         self.relay_drops = 0
-        self._round_timeout_us = (SEG_ROUND_BASE_US
-                                  + SEG_ROUND_PER_TTL_US * params.default_ttl)
         self._pubs: dict = {}
         self._tx_attempts: dict = {}
         self._rx_bufs: dict = {}
         # a late segment of a message aged out of here is reassembled and
         # delivered again
         self._rx_done = NetworkCache(RX_DONE_CAPACITY)
-        self.observer = RssiObserver(params.power_control.window) \
-            if params.power_control else None
+        self.observer = RssiObserver(cfg.power_control_window) \
+            if cfg.power_control else None
         medium.register(node_id, chan_rng, self._on_frame,
                         self._on_rssi if self.observer else None)
 
@@ -292,13 +335,13 @@ class Node:
             # only an acknowledged publication is looked up again
             self._pubs[app_msg_id] = pub
             pub.retry_timer = self.engine.schedule_after(
-                self.params.retry_interval_us, self._retry_fire, pub)
+                self.retry_interval_us, self._retry_fire, pub)
         return app_msg_id
 
     def _send_copy(self, pub: _Publication) -> None:
-        limit = EXT_UNSEGMENTED_MAX_OCTETS if self.params.extended \
+        limit = EXT_UNSEGMENTED_MAX_OCTETS if self.cfg.extended \
             else UNSEGMENTED_MAX_OCTETS
-        events = self.params.n_adv_events_source if pub.dst <= UNICAST_MAX \
+        events = self.cfg.n_adv_events_source if pub.dst <= UNICAST_MAX \
             else GROUP_ADV_EVENTS
         if len(pub.payload) <= limit:
             pub.outstanding += 1
@@ -306,7 +349,7 @@ class Node:
                           events, pub.copy_aired)
             pub.active_tag = None
             return
-        chunks = segment_payload(pub.payload, extended=self.params.extended)
+        chunks = segment_payload(pub.payload, extended=self.cfg.extended)
         tag = self._tag
         self._tag += 1
         on_done = None
@@ -329,25 +372,25 @@ class Node:
         if pub.acked or pub.flagged:
             return
         now = self.engine.now
-        if now - pub.send_time >= self.params.guard_us:
+        if now - pub.send_time >= self.guard_us:
             pub.flagged = True
             del self._pubs[pub.app_msg_id]
             self.collector.flag_guard(pub.app_msg_id)
             return
-        if self.params.retry_cap and pub.retries >= self.params.retry_cap:
+        if self.cfg.retry_cap and pub.retries >= self.cfg.retry_cap:
             del self._pubs[pub.app_msg_id]
             return
         if pub.active_tag in self._tx_attempts or pub.outstanding > 0:
             # let the queued copy air before republishing; stacking copies in
             # a congested advertiser only feeds the backlog
             pub.retry_timer = self.engine.schedule_after(
-                self.params.retry_interval_us, self._retry_fire, pub)
+                self.retry_interval_us, self._retry_fire, pub)
             return
         pub.retries += 1
         self.collector.on_retransmission(pub.app_msg_id)
         self._send_copy(pub)
         pub.retry_timer = self.engine.schedule_after(
-            self.params.retry_interval_us, self._retry_fire, pub)
+            self.retry_interval_us, self._retry_fire, pub)
 
     def _access_deliver(self, src: int, kind: str, payload: bytes,
                         app_msg_id: int) -> None:
@@ -356,7 +399,7 @@ class Node:
             if src != self.address:
                 ack = self._make_pdu(src, bytes(APP_ACK_OCTETS),
                                      app_msg_id, kind="app_ack")
-                self._enqueue(ack, self.params.n_adv_events_source)
+                self._enqueue(ack, self.cfg.n_adv_events_source)
         elif kind == "app_ack":
             self.collector.on_ack(app_msg_id, src, self.engine.now)
             pub = self._pubs.pop(app_msg_id, None)
@@ -370,7 +413,7 @@ class Node:
                   ack_info=None) -> MeshPdu:
         seq = self._seq
         self._seq += 1
-        return MeshPdu(self.address, dst, seq, self.params.default_ttl, payload,
+        return MeshPdu(self.address, dst, seq, self.cfg.default_ttl, payload,
                        app_msg_id, kind=kind, seg=seg, ack_info=ack_info)
 
     def receive_network_pdu(self, pdu: MeshPdu) -> None:
@@ -383,12 +426,12 @@ class Node:
         dst = pdu.dst
         if dst == self.address or dst in self.subscriptions:
             self._transport_receive(pdu)
-        if (self.params.relay_enabled and pdu.ttl >= 2
+        if (self.relay_enabled and pdu.ttl >= 2
                 and pdu.src != self.address):
             # relay copies come from a finite buffer pool; when it is
             # exhausted the copy is shed and neighbours with room cover.
             # without the cap a loaded mesh accumulates backlog without bound
-            if self._relay_backlog >= self.params.relay_buffer_cap:
+            if self._relay_backlog >= self.cfg.relay_buffer_cap:
                 self.relay_drops += 1
                 return
             self._relay_backlog += 1
@@ -396,7 +439,7 @@ class Node:
             # frees; neighbours that caught the same frame may air their
             # first events together, and the fresh advDelay of each later
             # event pulls them out of step
-            self._enqueue(pdu.relayed_copy(), self.params.n_adv_events_relay,
+            self._enqueue(pdu.relayed_copy(), self.cfg.n_adv_events_relay,
                           self._relay_aired)
 
     def _relay_aired(self) -> None:
@@ -463,7 +506,7 @@ class Node:
     def _send_block_ack(self, dst, tag, received, app_msg_id) -> None:
         pdu = self._make_pdu(dst, b"", app_msg_id, kind="seg_ack",
                              ack_info=(tag, frozenset(received)))
-        self._enqueue(pdu, self.params.n_adv_events_source)
+        self._enqueue(pdu, self.cfg.n_adv_events_source)
 
     def _on_block_ack(self, pdu: MeshPdu) -> None:
         tag, received = pdu.ack_info
@@ -500,7 +543,7 @@ class Node:
         attempt.rounds += 1
         self.collector.on_retransmission(attempt.app_msg_id)
         count = len(attempt.chunks)
-        events = self.params.n_adv_events_source
+        events = self.cfg.n_adv_events_source
         missing = [self._make_pdu(attempt.dst, chunk, attempt.app_msg_id,
                                   seg=(i, count, tag))
                    for i, chunk in enumerate(attempt.chunks)
@@ -517,7 +560,8 @@ class Node:
         if attempt.outstanding == 0:
             # the round timer is armed once the train has left the advertiser
             attempt.timer = self.engine.schedule_after(
-                self._round_timeout_us, self._transport_timer, tag)
+                SEG_ROUND_BASE_US + SEG_ROUND_PER_TTL_US * self.cfg.default_ttl,
+                self._transport_timer, tag)
 
     # --------------------------------------------------------------- advertiser
     def _enqueue(self, pdu: MeshPdu, n_events: int, on_done=None) -> None:
@@ -538,11 +582,10 @@ class Node:
             return
         due = self._adv_heap[0][0]
         if self._wakeup is not None:
-            if due >= self._wakeup_at:
+            if due >= self._wakeup[0]:
                 return
-            Engine.cancel(self._wakeup)
-        self._wakeup_at = due
-        self._wakeup = self.engine.schedule(due, self._event_fire)
+            Engine.cancel(self._wakeup[1])
+        self._wakeup = (due, self.engine.schedule(due, self._event_fire))
 
     def _event_fire(self) -> None:
         self._wakeup = None
@@ -551,15 +594,15 @@ class Node:
 
     def _event_power(self) -> float:
         if self.observer is not None:
-            return controlled_power_dbm(self.params.power_control, self.observer)
-        return self.params.tx_power_dbm
+            return controlled_power_dbm(self.cfg, self.observer)
+        return self.cfg.tx_power_dbm
 
     def _start_event(self, job: _AdvJob) -> None:
         if job.events_left > 1:
-            job.due = (self.engine.now + self.params.adv_interval_us
-                       + int(self.rng.draw_uniform(0, self.params.adv_delay_max_us)))
+            job.due = (self.engine.now + self.adv_interval_us
+                       + int(self.rng.draw_uniform(0, self.adv_delay_max_us)))
         power = self._event_power()
-        if self.params.extended:
+        if self.cfg.extended:
             self._ext_event(job, power)
         else:
             self._legacy_frame(job, 0, power)

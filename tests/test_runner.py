@@ -10,9 +10,9 @@ import pytest
 
 import meshsim
 from meshsim import runner
-from meshsim.engine import Engine
+from meshsim.engine import Engine, RandomSource
 from meshsim.errors import ConfigError
-from meshsim.runner import compare_runs, run_experiment, run_many
+from meshsim.runner import choose_relays, compare_runs, run_experiment, run_many
 from meshsim.scenario import ScenarioConfig, load_scenario
 from meshsim.topology import (
     Topology,
@@ -21,6 +21,7 @@ from meshsim.topology import (
     load_bundled_topology,
     load_topology,
 )
+from test_golden import grid_topology_document
 
 
 def bundled(scenario: str, *overrides):
@@ -123,3 +124,68 @@ def test_transport_state_pruned_after_run(monkeypatch):
     assert len(nodes) == 20 and result.records
     assert sum(len(n._pubs) for n in nodes) == 0
     assert sum(len(n._tx_attempts) for n in nodes) == 0
+
+
+# ------------------------------------------------------------ relay subsets
+
+def one_room(n: int) -> Topology:
+    """n nodes on a 1 m grid in one room: every node hears every other."""
+    lines = ["meshsim-topology v1"]
+    lines += [f"node n{i:03d} 0 {i % 10} {i // 10}" for i in range(n)]
+    return load_topology("\n".join(lines))
+
+
+def chain4() -> Topology:
+    """a - b - c - d: neighbours hear each other, no one else does."""
+    lines = ["meshsim-topology v1", *(f"node {n}" for n in "abcd")]
+    for i, a in enumerate("abcd"):
+        for j, b in enumerate("abcd"[i + 1:], i + 1):
+            lines.append(f"loss {a} {b} {60 if j == i + 1 else 300}")
+    return load_topology("\n".join(lines))
+
+
+def relays(topology, seed=1, **kw):
+    return choose_relays(topology, ScenarioConfig(**kw).validate(),
+                         RandomSource(seed).stream("relays"))
+
+
+def test_choose_relays_count_and_determinism():
+    room = one_room(20)
+    picked = relays(room, 42, relay_fraction=0.25)
+    assert picked == relays(room, 42, relay_fraction=0.25)
+    assert len(picked) == 5
+    assert picked <= frozenset(room.node_ids)
+    assert relays(room, relay_fraction=1.0) == frozenset(room.node_ids)
+    assert len(relays(room, relay_fraction=0.5)) == 10
+
+
+@pytest.mark.parametrize("n", [8, 20, 100])
+def test_relay_count_is_the_ceiling_of_the_given_decimal(n):
+    # the float product overshoots for some fractions: 0.55 * 100 is
+    # 55.00000000000001, whose ceiling is 56
+    room = one_room(n)
+    for k in range(1, 101):
+        assert len(relays(room, relay_fraction=k / 100)) == -(-k * n // 100), k
+
+
+def test_grid100_relay_subset_sizes():
+    grid = load_topology(grid_topology_document())
+    assert len(relays(grid, relay_fraction=0.55)) == 55
+    assert len(relays(grid, relay_fraction=0.14)) == 14
+
+
+def test_choose_relays_keeps_the_flood_connected():
+    # of the pairs on a four-node chain only the middle two carry a flood
+    # from either end to the other
+    for seed in range(1, 6):
+        assert relays(chain4(), seed, relay_fraction=0.5) == {"b", "c"}
+    with pytest.raises(ConfigError, match="no relay subset of size 1"):
+        relays(chain4(), relay_fraction=0.25)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.5])
+def test_relay_fraction_checked_before_relays_are_drawn(fraction):
+    # choose_relays leaves the range to ScenarioConfig.problems(), which
+    # run_experiment applies first
+    with pytest.raises(ConfigError, match="relay_fraction: must be in"):
+        run_experiment(chain4(), ScenarioConfig(relay_fraction=fraction), 1)

@@ -114,10 +114,22 @@ def test_zero_adv_interval_rejected():
     ("iterations 40000", "iterations"),
     # about 1.6e11 noise bursts over 159 s
     ("interference_rate_per_s 1e9", "interference_rate_per_s"),
+    ("power_control on\npower_control.window 0", "power_control.window"),
+    # the floor bounds the controlled power only while power control is on
+    ("power_control on\ntx_power_dbm -30", "power_control.floor_dbm"),
 ])
 def test_out_of_range_values_name_their_key(body, path):
     with pytest.raises(ConfigError, match=path):
         scn(body)
+
+
+def test_power_control_config_validation():
+    # a zero-length RSSI window and a floor above the maximum power are
+    # rejected once power control is on
+    with pytest.raises(ConfigError, match="power_control.window"):
+        scn("power_control on", "power_control.window 0")
+    with pytest.raises(ConfigError, match="power_control.floor_dbm"):
+        scn("power_control on", "tx_power_dbm 0", "power_control.floor_dbm 5")
 
 
 @pytest.mark.parametrize("body", [
@@ -242,6 +254,8 @@ def test_override_unknown_key_names_override():
         power_control_margin_db=2.0, power_control_floor_dbm=-15.0,
         power_control_window=8, interference_rate_per_s=5.0,
         interference_power_dbm=-50.0),
+    # below the power-control floor, which applies only with power control
+    ScenarioConfig(tx_power_dbm=-30.0),
 ])
 def test_document_round_trip(cfg):
     assert load_scenario(scenario_to_document(cfg)) == cfg

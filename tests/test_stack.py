@@ -19,28 +19,36 @@ from meshsim.radio import (
     _scanner_catches,
     airtime_us,
 )
+from meshsim.scenario import ScenarioConfig
 from meshsim.stack import (
     RX_DONE_CAPACITY,
     MeshPdu,
     NetworkCache,
     Node,
-    NodeParams,
+    RssiObserver,
+    controlled_power_dbm,
     segment_payload,
 )
-from meshsim.tuning import PowerControlConfig
 
 SCAN_US = 2_000_000     # scan interval and window: continuous, 2 s per channel
+
+
+def node_config(**kw) -> ScenarioConfig:
+    """The scenario a node reads: the defaults with the given fields replaced."""
+    return ScenarioConfig(**kw).validate()
 
 
 class World:
     """Fully wired micro-network over a loss matrix (or one shared loss value).
 
+    Every node reads cfg (default: node_config()) unless per_node names
+    another for it; the nodes in relay_off do not relay.
     blackout(start, end, pair) forces total loss on every frame that starts
     in [start, end): at all receivers, or only on the (tx, rx) pair given.
     """
 
-    def __init__(self, names, loss, *, seed=7, sigma=0.0, params=None,
-                 per_node=None, groups=None):
+    def __init__(self, names, loss, *, seed=7, sigma=0.0, cfg=None,
+                 per_node=None, relay_off=(), groups=None):
         self.engine = Engine()
         root = RandomSource(seed)
         if isinstance(loss, (int, float)):
@@ -61,13 +69,12 @@ class World:
         self.nodes = {}
         max_power = -1000.0
         for n in names:
-            p = (per_node or {}).get(n) or params or NodeParams()
+            c = (per_node or {}).get(n) or cfg or node_config()
             self.nodes[n] = Node(
-                n, self.addr[n], p, self.engine, self.medium,
+                n, self.addr[n], c, n not in relay_off, self.engine, self.medium,
                 root.stream("proto:" + n), root.stream("chan:" + n),
                 self.collector, directory, dict(groups or {}))
-            cap = p.power_control.p_max_dbm if p.power_control else p.tx_power_dbm
-            max_power = max(max_power, cap)
+            max_power = max(max_power, c.tx_power_dbm)
         self.medium.finalize(max_power)
         self.frames = []
         self._blackouts = []
@@ -196,12 +203,12 @@ def test_network_cache_fifo_eviction():
 
 def quiet_params(**kw):
     # far retry horizon so only the initial copy is on the air
-    kw.setdefault("retry_interval_us", 10 ** 9)
-    return NodeParams(**kw)
+    kw.setdefault("retry_interval_ms", 10 ** 6)
+    return node_config(**kw)
 
 
 def test_adv_event_cadence():
-    w = World(["a", "b"], 300.0, params=quiet_params())
+    w = World(["a", "b"], 300.0, cfg=quiet_params())
     w.publish_at(0, "a", w.addr["b"], b"x" * 11, 1)
     w.engine.run(until=150_000)
     frames = w.sent_by("a")
@@ -217,7 +224,7 @@ def test_adv_event_cadence():
 
 
 def test_adv_queue_interleaves_pdus():
-    w = World(["a", "b"], 300.0, params=quiet_params())
+    w = World(["a", "b"], 300.0, cfg=quiet_params())
     w.publish_at(0, "a", w.addr["b"], b"m1", 1)
     w.publish_at(0, "a", w.addr["b"], b"m2", 2)
     w.engine.run(until=300_000)
@@ -296,7 +303,7 @@ def test_publish_rejects_unknown_destination(dst):
 
 
 def test_retry_cap_stops_republishing():
-    w = World(["a", "b"], 60.0, params=NodeParams(retry_cap=2))
+    w = World(["a", "b"], 60.0, cfg=node_config(retry_cap=2))
     w.blackout(0, 10 ** 12)
     w.publish_at(0, "a", w.addr["b"], b"cmd", 1)
     w.engine.run_until_idle()
@@ -307,7 +314,7 @@ def test_retry_cap_stops_republishing():
 
 
 def test_guard_flags_runaway_retry():
-    w = World(["a", "b"], 60.0, params=NodeParams(guard_us=1_000_000))
+    w = World(["a", "b"], 60.0, cfg=node_config(guard_s=1.0))
     w.blackout(0, 10 ** 12)
     w.publish_at(0, "a", w.addr["b"], b"cmd", 1)
     w.engine.run_until_idle()
@@ -338,7 +345,7 @@ def chain3():
 
 
 def test_two_hop_needs_ttl_two():
-    w = World(["a", "b", "c"], chain3(), params=NodeParams(default_ttl=2))
+    w = World(["a", "b", "c"], chain3(), cfg=node_config(default_ttl=2))
     w.publish_at(0, "a", w.addr["c"], b"cmd", 1)
     w.engine.run_until_idle()
     (rec,) = w.records(1)
@@ -351,7 +358,7 @@ def test_two_hop_needs_ttl_two():
 
 def test_ttl_one_never_relayed():
     w = World(["a", "b", "c"], chain3(),
-              params=NodeParams(default_ttl=1, retry_cap=1))
+              cfg=node_config(default_ttl=1, retry_cap=1))
     w.publish_at(0, "a", w.addr["c"], b"cmd", 1)
     w.engine.run_until_idle()
     (rec,) = w.records(1)
@@ -362,8 +369,7 @@ def test_ttl_one_never_relayed():
 
 def test_relay_disabled_breaks_the_path():
     w = World(["a", "b", "c"], chain3(),
-              per_node={"b": NodeParams(relay_enabled=False, retry_cap=1)},
-              params=NodeParams(retry_cap=1))
+              cfg=node_config(retry_cap=1), relay_off={"b"})
     w.publish_at(0, "a", w.addr["c"], b"cmd", 1)
     w.engine.run_until_idle()
     (rec,) = w.records(1)
@@ -520,7 +526,7 @@ def test_finished_reassemblies_age_out_oldest_first():
 # ------------------------------------------------------- extended advertising
 
 def test_extended_event_structure():
-    w = World(["a", "b"], 60.0, params=NodeParams(extended=True))
+    w = World(["a", "b"], 60.0, cfg=node_config(extended=True))
     w.publish_at(0, "a", w.addr["b"], bytes(50), 1)
     w.engine.run_until_idle()
     (rec,) = w.records(1)
@@ -541,7 +547,7 @@ def test_extended_event_structure():
 
 
 def test_aux_requires_a_heard_indication():
-    w = World(["a", "b"], 60.0, params=NodeParams(extended=True))
+    w = World(["a", "b"], 60.0, cfg=node_config(extended=True))
     # kill only the first event's indications; its aux is then invisible
     w.blackout(0, 2_280, pair=("a", "b"))
     w.publish_at(0, "a", w.addr["b"], bytes(50), 1)
@@ -553,9 +559,58 @@ def test_aux_requires_a_heard_indication():
 
 # ----------------------------------------------------------- power adaptation
 
+def observer_with(minima):
+    obs = RssiObserver(window=16)
+    for ch, val in minima.items():
+        obs.observe(ch, val)
+    return obs
+
+
+def test_gate_closed_until_all_channels_sampled():
+    cfg = node_config(power_control=True)
+    obs = RssiObserver(window=16)
+    assert controlled_power_dbm(cfg, obs) == cfg.tx_power_dbm
+    obs.observe(37, -60.0)
+    obs.observe(38, -60.0)
+    assert obs.floor_dbm() is None
+    assert controlled_power_dbm(cfg, obs) == cfg.tx_power_dbm
+    obs.observe(39, -55.0)
+    assert obs.floor_dbm() == -60.0
+    assert controlled_power_dbm(cfg, obs) == pytest.approx(-10.0)
+
+
+@pytest.mark.parametrize("p_r,expected", [
+    (-60.0, -10.0),   # 0 - (-60) + (-70)
+    (-80.0, 0.0),     # raw +10 clamps to p_max
+    (-45.0, -20.0),   # raw -25 clamps to the floor
+    (-70.0, 0.0),
+])
+def test_control_law_examples(p_r, expected):
+    cfg = node_config(tx_power_dbm=0.0, power_control=True,
+                      power_control_zeta_th_dbm=-70.0)
+    obs = observer_with({37: p_r, 38: p_r + 3, 39: p_r + 7})
+    assert controlled_power_dbm(cfg, obs) == pytest.approx(expected)
+
+
+def test_margin_shifts_the_law():
+    tight = node_config(power_control=True, power_control_zeta_th_dbm=-70.0)
+    lax = node_config(power_control=True, power_control_zeta_th_dbm=-70.0,
+                      power_control_margin_db=5.0)
+    obs = observer_with({37: -60.0, 38: -60.0, 39: -60.0})
+    assert controlled_power_dbm(lax, obs) - controlled_power_dbm(tight, obs) == 5.0
+
+
+def test_window_forgets_old_minimum():
+    obs = RssiObserver(window=16)
+    obs.observe(37, -95.0)
+    for _ in range(16):
+        obs.observe(37, -50.0)
+    assert obs.channel_minima()[37] == -50.0
+
+
 def test_controlled_power_engages_after_observation():
-    ctl = NodeParams(power_control=PowerControlConfig())
-    w = World(["a", "b"], 40.0, per_node={"a": ctl}, params=NodeParams())
+    ctl = node_config(power_control=True)
+    w = World(["a", "b"], 40.0, per_node={"a": ctl})
     w.publish_at(0, "a", w.addr["b"], b"m1", 1)
 
     def fill_remaining_channels():
