@@ -3,8 +3,10 @@
 import csv
 import json
 import math
+import random
 from dataclasses import dataclass
 from pathlib import Path
+from statistics import fmean, quantiles
 
 from .errors import ConfigError
 
@@ -321,20 +323,24 @@ def per_seed_means(records_by_seed: dict, kind: str) -> list[float]:
 def compare(baseline_by_seed: dict, variant_by_seed: dict, kind: str = "one-way",
             resamples: int = 10_000, min_seeds: int = 5,
             rng_seed: int = 0x5EED) -> CompareResult:
-    """Percent change of mean latency with a bootstrap 95% CI over per-seed means."""
-    import numpy as np  # only the bootstrap needs it; runs never pay its import
+    """Percent change of mean latency with a bootstrap 95% CI over per-seed means.
 
+    Each resample draws both arms' seeds with replacement; the CI's ends
+    are the 2.5th and 97.5th percentiles of the resampled changes,
+    interpolated linearly between ranks.
+    """
     if len(baseline_by_seed) < min_seeds or len(variant_by_seed) < min_seeds:
         raise ConfigError(
             f"compare needs at least {min_seeds} seeds per arm, got "
             f"{len(baseline_by_seed)} and {len(variant_by_seed)}")
-    b = np.asarray(per_seed_means(baseline_by_seed, kind))
-    v = np.asarray(per_seed_means(variant_by_seed, kind))
-    point = (v.mean() - b.mean()) / b.mean() * 100.0
-    rng = np.random.default_rng(rng_seed)
-    bm = b[rng.integers(0, len(b), (resamples, len(b)))].mean(axis=1)
-    vm = v[rng.integers(0, len(v), (resamples, len(v)))].mean(axis=1)
-    pct = (vm - bm) / bm * 100.0
-    lo, hi = np.percentile(pct, (2.5, 97.5))
-    return CompareResult(kind, float(b.mean()), float(v.mean()), float(point),
-                         float(lo), float(hi), (len(b), len(v)))
+    b = per_seed_means(baseline_by_seed, kind)
+    v = per_seed_means(variant_by_seed, kind)
+    b_mean, v_mean = fmean(b), fmean(v)
+    rng = random.Random(rng_seed)
+    pct = []
+    for _ in range(resamples):
+        bm = fmean(rng.choices(b, k=len(b)))
+        pct.append((fmean(rng.choices(v, k=len(v))) - bm) / bm * 100.0)
+    cuts = quantiles(pct, n=40, method="inclusive")
+    return CompareResult(kind, b_mean, v_mean, (v_mean - b_mean) / b_mean * 100.0,
+                         cuts[0], cuts[-1], (len(b), len(v)))

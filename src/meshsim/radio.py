@@ -117,28 +117,6 @@ class ChannelFrame:
         self.rssi_cache = {}           # receiver id -> dBm, drawn once per frame
 
 
-class LinkModel:
-    """Pairwise propagation state: an indexed loss table plus per-frame shadowing.
-
-    `loss` is an (index, table) pair, as Topology.loss_table() returns:
-    `table[index[tx]][index[rx]]` is the loss in dB from tx to rx, and inf
-    where tx is rx.  Both are kept as given, not copied, so the caller's
-    table must be symmetric and stay unchanged.
-    """
-
-    def __init__(self, loss, *, shadowing_sigma_db: float = 4.0,
-                 capture_db: float = 10.0):
-        if capture_db <= 0:
-            raise ConfigError(f"capture threshold must be positive, got {capture_db}")
-        if shadowing_sigma_db < 0:
-            raise ConfigError(f"negative shadowing sigma {shadowing_sigma_db}")
-        if not math.isfinite(shadowing_sigma_db):
-            raise ConfigError(f"non-finite shadowing sigma {shadowing_sigma_db}")
-        self.shadowing_sigma_db = shadowing_sigma_db
-        self.capture_db = capture_db
-        self.index, self.table = loss
-
-
 class _Receiver:
     __slots__ = ("chan_rng", "on_frame", "on_rssi")
 
@@ -159,13 +137,26 @@ def _scanner_catches(scan_interval_us: int, scan_window_us: int,
 class Medium:
     """Channel occupancy registry plus the reception-resolution rules.
 
-    Every registered receiver scans with the one config given here.
+    `loss` is an (index, table) pair, as Topology.loss_table() returns:
+    `table[index[tx]][index[rx]]` is the loss in dB from tx to rx, and inf
+    where tx is rx.  Both are kept as given, not copied, so the caller's
+    table must be symmetric and stay unchanged.  Every registered receiver
+    scans with the one config given here.
     """
 
-    def __init__(self, engine: Engine, link: LinkModel,
-                 scan_interval_us: int, scan_window_us: int):
+    def __init__(self, engine: Engine, loss, scan_interval_us: int,
+                 scan_window_us: int, *, shadowing_sigma_db: float = 4.0,
+                 capture_db: float = 10.0):
+        if capture_db <= 0:
+            raise ConfigError(f"capture threshold must be positive, got {capture_db}")
+        if shadowing_sigma_db < 0:
+            raise ConfigError(f"negative shadowing sigma {shadowing_sigma_db}")
+        if not math.isfinite(shadowing_sigma_db):
+            raise ConfigError(f"non-finite shadowing sigma {shadowing_sigma_db}")
         self.engine = engine
-        self.link = link
+        self.index, self.table = loss
+        self.shadowing_sigma_db = shadowing_sigma_db
+        self.capture_db = capture_db
         self._scan_interval_us = scan_interval_us
         self._scan_window_us = scan_window_us
         self._receivers: dict = {}
@@ -201,10 +192,9 @@ class Medium:
         max_power_dbm can plausibly clear the lower of the two PHYs'
         sensitivities (6-sigma slack); the inf loss to itself never does.
         """
-        link = self.link
-        index, table = link.index, link.table
+        index, table = self.index, self.table
         floor = min(PHY_1M.sensitivity_dbm, PHY_2M.sensitivity_dbm)
-        threshold = floor - 6.0 * link.shadowing_sigma_db
+        threshold = floor - 6.0 * self.shadowing_sigma_db
         state = [(rx, r, r.chan_rng.random, index[rx])
                  for rx, r in self._receivers.items()]
         for tx in self._receivers:
@@ -260,12 +250,11 @@ class Medium:
                       if o.start < end and start < o.end and o is not frame]
         busy = {o.transmitter for o in concurrent}
         overlaps = [o for o in concurrent if o.channel == channel]
-        link = self.link
-        index, table = link.index, link.table
+        index, table = self.index, self.table
         row = table[index[frame.transmitter]]
-        sigma = link.shadowing_sigma_db
+        sigma = self.shadowing_sigma_db
         sens = frame.phy.sensitivity_dbm
-        capture = link.capture_db
+        capture = self.capture_db
         power = frame.power_dbm
         cache = frame.rssi_cache
         primary = channel >= 37

@@ -24,7 +24,6 @@ from .radio import (
     PRIMARY_CHANNELS,
     ChannelFrame,
     FrameKind,
-    LinkModel,
     Medium,
 )
 from .scenario import GROUP_ADDRESS, ScenarioConfig, build_traffic, ms_to_us, s_to_us
@@ -98,7 +97,6 @@ def run_experiment(topology: Topology, cfg: ScenarioConfig, seed: int) -> RunRes
     # node addresses are 1..N; checked before any set-up work
     if len(topology.nodes) > UNICAST_MAX:
         raise ConfigError(f"{len(topology.nodes)} nodes exceed {UNICAST_MAX} addresses")
-    cfg.validate()
     root = RandomSource(seed)
     schedule = build_traffic(topology, cfg, root.stream("traffic"))
     relays = choose_relays(topology, cfg, root.stream("relays"))
@@ -106,7 +104,7 @@ def run_experiment(topology: Topology, cfg: ScenarioConfig, seed: int) -> RunRes
     engine = Engine()
     # noise frames reach every receiver at the interference power, so the
     # env interferer needs no loss row
-    medium = Medium(engine, LinkModel(topology.loss_table()),
+    medium = Medium(engine, topology.loss_table(),
                     ms_to_us(cfg.scan_interval_ms),
                     ms_to_us(cfg.scan_window_resolved_ms))
     addr = {nid: i + 1 for i, nid in enumerate(topology.node_ids)}

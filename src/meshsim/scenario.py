@@ -192,11 +192,11 @@ class ScenarioConfig:
                   f"{MAX_NOISE_BURSTS} noise bursts")
         return out
 
-    def validate(self) -> "ScenarioConfig":
+    def __post_init__(self) -> None:
+        # once, at construction; unpickling restores fields without it
         probs = self.problems()
         if probs:
             raise ConfigError("invalid scenario:\n  " + "\n  ".join(probs))
-        return self
 
     def workload_signature(self) -> tuple:
         """Fields that must match for two runs to be comparable."""
@@ -303,7 +303,7 @@ def scenario_from_raw(raw: _RawMap) -> ScenarioConfig:
 
     if errors:
         raise ConfigError("invalid scenario:\n  " + "\n  ".join(errors))
-    return ScenarioConfig(**kwargs).validate()
+    return ScenarioConfig(**kwargs)
 
 
 def load_scenario(text: str, overrides=()) -> ScenarioConfig:
@@ -364,7 +364,6 @@ def _draw_disjoint_pairs(space: PairSpace, k: int, rng: RandomSource):
 def build_traffic(topology: Topology, cfg: ScenarioConfig,
                   rng: RandomSource) -> tuple[ScheduledSend, ...]:
     """Expand a scenario into per-message sends, sorted by time."""
-    cfg.validate()
     period_us = ms_to_us(cfg.period_ms)
     sends: list[tuple[int, str, str | None, int | None]] = []
 

@@ -16,7 +16,8 @@ Message path, source to destination:
   legacy advertising event transmits the same PDU on channels 37, 38 and
   39 back to back; in extended mode an event instead sends three short
   indications on the primary channels that point at one auxiliary frame on
-  a randomly chosen secondary channel.
+  a randomly chosen secondary channel.  Either way the event's frames are
+  built when it starts (_start_event) and aired one by one (_air).
 * Receivers deduplicate on (src, seq) with a FIFO cache, hand matching
   destinations to the access layer, and relay a copy with ttl-1 when the
   relay rule allows and a relay buffer is free.
@@ -30,8 +31,7 @@ Message path, source to destination:
 runner.run_experiment builds one Node per topology node.  Each reads the
 run's ScenarioConfig as it stands and holds its relay flag, which
 runner.choose_relays decides.  Power control (RssiObserver and
-controlled_power_dbm) and the extended-advertising pointer (AuxPointer)
-live here, with the advertiser that uses them.
+controlled_power_dbm) lives here, with the advertiser that uses it.
 
 Wire headers are folded into the PHY frame overhead, so PDU octet counts
 equal payload octet counts (with small fixed sizes for control PDUs).
@@ -40,12 +40,11 @@ equal payload octet counts (with small fixed sizes for control PDUs).
 import heapq
 import logging
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
 from functools import partial
 
 from .engine import Engine, RandomSource
 from .errors import ConfigError
-from .radio import ADV, AUX, EXT_IND, PHY_1M, PHY_2M, ChannelFrame, Medium, airtime_us
+from .radio import ADV, AUX, EXT_IND, PHY_1M, PHY_2M, ChannelFrame, Medium
 from .scenario import ScenarioConfig, ms_to_us, s_to_us
 
 log = logging.getLogger(__name__)
@@ -187,15 +186,6 @@ def controlled_power_dbm(cfg: ScenarioConfig, observer: RssiObserver) -> float:
         return p_max
     raw = p_max - p_r + cfg.power_control_zeta_th_dbm + cfg.power_control_margin_db
     return min(p_max, max(cfg.power_control_floor_dbm, raw))
-
-
-@dataclass
-class AuxPointer:
-    """Shared target of one extended-advertising event's three indications."""
-
-    channel: int
-    start_us: int
-    eligible: set = field(default_factory=set)
 
 
 class _AdvJob:
@@ -352,21 +342,12 @@ class Node:
         chunks = segment_payload(pub.payload, extended=self.cfg.extended)
         tag = self._tag
         self._tag += 1
-        on_done = None
+        attempt = None
         if pub.dst <= UNICAST_MAX:
             attempt = _TxAttempt(chunks, pub.dst, pub.app_msg_id)
             self._tx_attempts[tag] = attempt
             pub.active_tag = tag
-            attempt.outstanding = len(chunks)
-            on_done = partial(self._segment_aired, tag, attempt)
-        # a segment train airs as repeated whole-message cycles: each segment
-        # is one job, all due at once, so the train goes out back to back in
-        # segment order and repeats about one advertising interval later;
-        # receivers drop a repeat they already caught through the cache
-        for i, chunk in enumerate(chunks):
-            self._enqueue(self._make_pdu(pub.dst, chunk, pub.app_msg_id,
-                                         seg=(i, len(chunks), tag)),
-                          events, on_done)
+        self._queue_segments(pub.dst, chunks, pub.app_msg_id, tag, events, attempt)
 
     def _retry_fire(self, pub: _Publication) -> None:
         if pub.acked or pub.flagged:
@@ -542,16 +523,30 @@ class Node:
             return
         attempt.rounds += 1
         self.collector.on_retransmission(attempt.app_msg_id)
-        count = len(attempt.chunks)
-        events = self.cfg.n_adv_events_source
-        missing = [self._make_pdu(attempt.dst, chunk, attempt.app_msg_id,
-                                  seg=(i, count, tag))
-                   for i, chunk in enumerate(attempt.chunks)
-                   if i not in attempt.acked]
-        attempt.outstanding = len(missing)
-        on_done = partial(self._segment_aired, tag, attempt)
-        for pdu in missing:
-            self._enqueue(pdu, events, on_done)
+        self._queue_segments(attempt.dst, attempt.chunks, attempt.app_msg_id,
+                             tag, self.cfg.n_adv_events_source, attempt)
+
+    def _queue_segments(self, dst, chunks, app_msg_id, tag, events,
+                        attempt: _TxAttempt | None) -> None:
+        """Queue a segment train: one job per chunk, each PDU seg=(i, count, tag).
+
+        The train airs as repeated whole-message cycles: every job is due at
+        once, so the segments go out back to back in segment order and
+        repeat about one advertising interval later; receivers drop a
+        repeat they already caught through the cache.  An acknowledged
+        train has an attempt: the chunks it has acked are left out, and it
+        counts the jobs queued until each has aired.
+        """
+        on_done = None
+        todo = range(len(chunks))
+        if attempt is not None:
+            on_done = partial(self._segment_aired, tag, attempt)
+            todo = [i for i in todo if i not in attempt.acked]
+            attempt.outstanding = len(todo)
+        for i in todo:
+            self._enqueue(self._make_pdu(dst, chunks[i], app_msg_id,
+                                         seg=(i, len(chunks), tag)),
+                          events, on_done)
 
     def _segment_aired(self, tag, attempt: _TxAttempt) -> None:
         if attempt.done:
@@ -598,52 +593,48 @@ class Node:
         return self.cfg.tx_power_dbm
 
     def _start_event(self, job: _AdvJob) -> None:
+        """Build the event's frames, all at its one power, and air the first.
+
+        A legacy event is the PDU on 37, 38 and 39; an extended event is
+        three indications laid out the same way, then the PDU on a random
+        secondary channel EXT_AUX_OFFSET_US after them.  The indications
+        carry the event's eligible set, which every node that catches one
+        joins, and the aux frame reaches only that set.
+        """
+        now = self.engine.now
         if job.events_left > 1:
-            job.due = (self.engine.now + self.adv_interval_us
+            job.due = (now + self.adv_interval_us
                        + int(self.rng.draw_uniform(0, self.adv_delay_max_us)))
         power = self._event_power()
+        pdu = job.pdu
         if self.cfg.extended:
-            self._ext_event(job, power)
+            kind, octets, payload = EXT_IND, EXT_INDICATION_OCTETS, set()
         else:
-            self._legacy_frame(job, 0, power)
+            kind, octets, payload = ADV, pdu.octets, pdu
+        node_id = self.node_id
+        gap = INTER_CHANNEL_GAP_US
+        f37 = ChannelFrame(node_id, 37, PHY_1M, power, now, octets, kind, payload)
+        f38 = ChannelFrame(node_id, 38, PHY_1M, power, f37.end + gap, octets,
+                           kind, payload)
+        f39 = ChannelFrame(node_id, 39, PHY_1M, power, f38.end + gap, octets,
+                           kind, payload)
+        frames = (f37, f38, f39)
+        if kind is EXT_IND:
+            frames += (ChannelFrame(node_id, self.rng.randrange(37), PHY_2M, power,
+                                    f39.end + EXT_AUX_OFFSET_US, pdu.octets, AUX,
+                                    pdu, payload),)
+        self._air(job, frames, 0)
 
-    def _legacy_frame(self, job: _AdvJob, ch_idx: int, power: float) -> None:
-        pdu = job.pdu
-        frame = ChannelFrame(self.node_id, 37 + ch_idx, PHY_1M, power,
-                             self.engine.now, pdu.octets, ADV, pdu)
+    def _air(self, job: _AdvJob, frames: tuple, i: int) -> None:
+        """Put frames[i] on the air; the event ends one gap after the last."""
+        frame = frames[i]
         self.medium.begin_transmission(frame)
-        self.collector.on_frame(pdu.app_msg_id, power)
-        nxt = frame.end + INTER_CHANNEL_GAP_US
-        if ch_idx < 2:
-            self.engine.schedule(nxt, self._legacy_frame, job, ch_idx + 1, power)
+        self.collector.on_frame(job.pdu.app_msg_id, frame.power_dbm)
+        if frame is frames[-1]:
+            self.engine.schedule(frame.end + INTER_CHANNEL_GAP_US,
+                                 self._finish_event, job)
         else:
-            self.engine.schedule(nxt, self._finish_event, job)
-
-    def _ext_event(self, job: _AdvJob, power: float) -> None:
-        now = self.engine.now
-        ind_air = airtime_us(EXT_INDICATION_OCTETS, PHY_1M)
-        step = ind_air + INTER_CHANNEL_GAP_US
-        aux_start = now + 2 * step + ind_air + EXT_AUX_OFFSET_US
-        pointer = AuxPointer(self.rng.randrange(37), aux_start)
-        for i in range(3):
-            self.engine.schedule(now + i * step, self._tx_indication,
-                                 job, pointer, 37 + i, power)
-        self.engine.schedule(aux_start, self._tx_aux, job, pointer, power)
-        aux_end = aux_start + airtime_us(job.pdu.octets, PHY_2M)
-        self.engine.schedule(aux_end + INTER_CHANNEL_GAP_US, self._finish_event, job)
-
-    def _tx_indication(self, job, pointer, channel, power) -> None:
-        frame = ChannelFrame(self.node_id, channel, PHY_1M, power, self.engine.now,
-                             EXT_INDICATION_OCTETS, EXT_IND, pointer)
-        self.medium.begin_transmission(frame)
-        self.collector.on_frame(job.pdu.app_msg_id, power)
-
-    def _tx_aux(self, job, pointer, power) -> None:
-        pdu = job.pdu
-        frame = ChannelFrame(self.node_id, pointer.channel, PHY_2M, power,
-                             self.engine.now, pdu.octets, AUX, pdu, pointer.eligible)
-        self.medium.begin_transmission(frame)
-        self.collector.on_frame(pdu.app_msg_id, power)
+            self.engine.schedule(frames[i + 1].start, self._air, job, frames, i + 1)
 
     def _finish_event(self, job: _AdvJob) -> None:
         heap = self._adv_heap
@@ -663,7 +654,7 @@ class Node:
     # ------------------------------------------------------------------- radio
     def _on_frame(self, frame: ChannelFrame, rssi: float) -> None:
         if frame.kind is EXT_IND:
-            frame.payload.eligible.add(self.node_id)
+            frame.payload.add(self.node_id)
             return
         self.receive_network_pdu(frame.payload)
 

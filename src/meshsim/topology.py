@@ -19,7 +19,7 @@ The losses live in one symmetric table indexed by node position,
 ``table[index[a]][index[b]]``, filled in a single pass over unordered pairs
 the first time a loss is needed; both halves of a pair hold the same float,
 and the diagonal holds ``inf``, so a filter on loss drops a node itself with
-no test.  The hop graph, ``loss_map`` and the radio's ``LinkModel`` all read
+no test.  The hop graph, ``loss_map`` and the radio's ``Medium`` all read
 that table; none copies it, and a pickled ``Topology`` leaves it out.
 Loading checks only the pairs that can fail: those with an abstract node,
 and nodes found sharing a position through a dict.

@@ -194,23 +194,31 @@ def test_compare_needs_five_seeds():
         compare(base, base, "one-way")
 
 
-def test_compare_reproducible():
+def test_compare_reproducible(monkeypatch):
+    # with numpy blocked: a None entry in sys.modules makes `import numpy` raise
+    monkeypatch.setitem(sys.modules, "numpy", None)
     base = seeded({0: 9.0, 1: 11.0, 2: 10.0, 3: 12.0, 4: 8.0})
     var = seeded({0: 7.0, 1: 10.0, 2: 9.5, 3: 9.0, 4: 8.5})
     first = compare(base, var, "one-way")
     second = compare(base, var, "one-way")
     assert (first.ci_low, first.ci_high) == (second.ci_low, second.ci_high)
+    assert first.pct_change == pytest.approx(-12.0)
     assert first.ci_low < first.pct_change < first.ci_high
 
 
-def test_runs_do_not_import_numpy():
-    # only compare's bootstrap needs numpy; a fresh interpreter shows what
-    # importing the run path loads
-    code = ("import sys, meshsim.runner, meshsim.metrics; "
-            "print('numpy' in sys.modules)")
+def test_importing_meshsim_loads_only_the_standard_library():
+    # a fresh interpreter shows what importing every module loads beyond
+    # what the interpreter had at start-up
+    code = ("import importlib, pkgutil, sys\n"
+            "before = set(sys.modules)\n"
+            "import meshsim\n"
+            "for m in pkgutil.iter_modules(meshsim.__path__):\n"
+            "    importlib.import_module('meshsim.' + m.name)\n"
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "             - set(sys.stdlib_module_names) - {'meshsim'}))")
     src = str(Path(meshsim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

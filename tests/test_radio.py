@@ -16,7 +16,6 @@ from meshsim.radio import (
     PRIMARY_CHANNELS,
     ChannelFrame,
     FrameKind,
-    LinkModel,
     Medium,
     Outcome,
     airtime_us,
@@ -41,9 +40,9 @@ def loss_table(losses):
 
 def make_medium(losses, sigma=0.0, capture=10.0, scan_interval=CONTINUOUS, scan_window=None):
     eng = Engine()
-    link = LinkModel(loss_table(losses), shadowing_sigma_db=sigma, capture_db=capture)
-    med = Medium(eng, link, scan_interval,
-                 scan_window if scan_window is not None else scan_interval)
+    med = Medium(eng, loss_table(losses), scan_interval,
+                 scan_window if scan_window is not None else scan_interval,
+                 shadowing_sigma_db=sigma, capture_db=capture)
     nodes = sorted({n for pair in losses for n in pair})
     delivered = []
     root = RandomSource(99)
@@ -107,7 +106,8 @@ def test_frame_channel_check_matches_if_chain_oracle(kind):
 
 def test_capture_threshold_must_be_positive():
     with pytest.raises(ConfigError):
-        LinkModel(loss_table({("a", "b"): 60.0}), capture_db=0.0)
+        Medium(Engine(), loss_table({("a", "b"): 60.0}), CONTINUOUS, CONTINUOUS,
+               capture_db=0.0)
 
 
 @pytest.mark.parametrize("sigma", [-1.0, math.inf, math.nan])
@@ -115,7 +115,8 @@ def test_shadowing_sigma_must_be_finite_and_non_negative(sigma):
     # an infinite slack would let the inf loss on the diagonal through the
     # candidate prune, making a node a candidate for its own frames
     with pytest.raises(ConfigError, match="shadowing sigma"):
-        LinkModel(loss_table({("a", "b"): 60.0}), shadowing_sigma_db=sigma)
+        Medium(Engine(), loss_table({("a", "b"): 60.0}), CONTINUOUS, CONTINUOUS,
+               shadowing_sigma_db=sigma)
 
 
 @settings(max_examples=150, deadline=None)
@@ -128,8 +129,8 @@ def test_candidates_match_per_pair_prune(data):
               for a, b in itertools.combinations(sorted(names), 2)}
     power = data.draw(st.sampled_from([0.0, -0.5]))
     index, table = loss_table(losses)
-    med = Medium(Engine(), LinkModel((index, table), shadowing_sigma_db=4.0),
-                 CONTINUOUS, CONTINUOUS)
+    med = Medium(Engine(), (index, table), CONTINUOUS, CONTINUOUS,
+                 shadowing_sigma_db=4.0)
     root = RandomSource(1)
     for n in names:
         med.register(n, root.stream(n), lambda f, r: None)
@@ -375,8 +376,8 @@ def run_impl(nodes, frames, loss):
     without on_frame (the frame cleared sensitivity but lost on capture).
     """
     eng = Engine()
-    link = LinkModel(loss_table(loss), shadowing_sigma_db=0.0, capture_db=CAPTURE)
-    med = Medium(eng, link, CONTINUOUS, CONTINUOUS)
+    med = Medium(eng, loss_table(loss), CONTINUOUS, CONTINUOUS,
+                 shadowing_sigma_db=0.0, capture_db=CAPTURE)
     index = {}                  # ChannelFrame -> its position in `frames`
     resolving = []              # frames in the order the medium resolves them
     delivered, heard = set(), set()

@@ -145,7 +145,7 @@ def chain4() -> Topology:
 
 
 def relays(topology, seed=1, **kw):
-    return choose_relays(topology, ScenarioConfig(**kw).validate(),
+    return choose_relays(topology, ScenarioConfig(**kw),
                          RandomSource(seed).stream("relays"))
 
 
@@ -185,7 +185,7 @@ def test_choose_relays_keeps_the_flood_connected():
 
 @pytest.mark.parametrize("fraction", [0.0, 1.5])
 def test_relay_fraction_checked_before_relays_are_drawn(fraction):
-    # choose_relays leaves the range to ScenarioConfig.problems(), which
-    # run_experiment applies first
+    # choose_relays leaves the range to ScenarioConfig, which rejects it
+    # at construction, before any run
     with pytest.raises(ConfigError, match="relay_fraction: must be in"):
         run_experiment(chain4(), ScenarioConfig(relay_fraction=fraction), 1)

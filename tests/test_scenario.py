@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from meshsim.engine import RandomSource
 from meshsim.errors import ConfigError
+from meshsim.runner import run_experiment
 from meshsim.scenario import (
     GROUP_ADDRESS,
     MIN_PAIR_HOPS,
@@ -155,8 +157,27 @@ FLOAT_FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)
 @pytest.mark.parametrize("name", FLOAT_FIELDS)
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_every_float_field_must_be_finite(name, value):
-    cfg = dataclasses.replace(ScenarioConfig(), **{name: value})
-    assert f"{name}: must be finite" in cfg.problems()
+    with pytest.raises(ConfigError, match=f"{name}: must be finite"):
+        dataclasses.replace(ScenarioConfig(), **{name: value})
+
+
+def test_scenario_checked_once_per_load_and_run(monkeypatch):
+    # construction is the one check: a run, its traffic expansion and an
+    # unpickled copy (as run_many's workers get) do not repeat it
+    calls = []
+    inner = ScenarioConfig.problems
+
+    def counted(self):
+        calls.append(self)
+        return inner(self)
+
+    monkeypatch.setattr(ScenarioConfig, "problems", counted)
+    cfg = scn("iterations 1")
+    assert len(calls) == 1
+    copy = pickle.loads(pickle.dumps(cfg))
+    assert copy == cfg and len(calls) == 1
+    run_experiment(load_bundled_topology("office_two_floor_20.topo"), copy, 1)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("body,path", [

@@ -14,7 +14,6 @@ from meshsim.radio import (
     PRIMARY_CHANNELS,
     ChannelFrame,
     FrameKind,
-    LinkModel,
     Medium,
     _scanner_catches,
     airtime_us,
@@ -35,7 +34,7 @@ SCAN_US = 2_000_000     # scan interval and window: continuous, 2 s per channel
 
 def node_config(**kw) -> ScenarioConfig:
     """The scenario a node reads: the defaults with the given fields replaced."""
-    return ScenarioConfig(**kw).validate()
+    return ScenarioConfig(**kw)
 
 
 class World:
@@ -60,9 +59,8 @@ class World:
                  for i in range(len(names))]
         for (a, b), v in loss.items():
             table[index[a]][index[b]] = table[index[b]][index[a]] = v
-        self.medium = Medium(self.engine,
-                             LinkModel((index, table), shadowing_sigma_db=sigma),
-                             SCAN_US, SCAN_US)
+        self.medium = Medium(self.engine, (index, table), SCAN_US, SCAN_US,
+                             shadowing_sigma_db=sigma)
         self.addr = {n: i + 1 for i, n in enumerate(names)}
         directory = {v: n for n, v in self.addr.items()}
         self.collector = Collector(addr_to_node=directory)
@@ -221,6 +219,69 @@ def test_adv_event_cadence():
     for first, nxt in ((frames[0], frames[3]), (frames[3], frames[6])):
         gap = nxt.start - first.start
         assert 20_000 <= gap < 30_000
+
+
+def test_legacy_event_structure():
+    # b is out of range, so nothing feeds a's observer but the test itself
+    w = World(["a", "b"], 300.0, cfg=quiet_params(power_control=True))
+    observer = w.nodes["a"].observer
+    for ch in (37, 38, 39):
+        observer.observe(ch, -60.0)     # power 0 + 60 - 70 = -10
+    # two PDUs: the second one's first event waits only for the radio
+    w.publish_at(0, "a", w.addr["b"], b"x" * 11, 1)
+    w.publish_at(0, "a", w.addr["b"], b"y" * 11, 2)
+    # mid-way through the first event the floor drops: raw 0 + 80 - 70
+    # clamps to 0 dBm, from the next event on
+    w.engine.schedule(300, observer.observe, 37, -80.0)
+    w.engine.run(until=300_000)
+    frames = w.sent_by("a")
+    assert len(frames) == 18
+    events = [frames[i:i + 3] for i in range(0, 18, 3)]
+    for ev in events:
+        assert [f.channel for f in ev] == [37, 38, 39]
+        assert len({id(f.payload) for f in ev}) == 1
+        assert ev[1].start == ev[0].end + 400
+        assert ev[2].start == ev[1].end + 400
+    assert [{f.power_dbm for f in ev} for ev in events] == [{-10.0}] + [{0.0}] * 5
+    assert events[1][0].start == events[0][2].end + 400
+    for ev, nxt in zip(events, events[1:]):
+        assert nxt[0].start >= ev[2].end + 400
+
+
+def test_aux_eligible_only_to_nodes_that_caught_its_indications(monkeypatch):
+    caught = []         # (receiver, frame) for every frame handed to a node
+    inner = Node._on_frame
+
+    def logged(self, frame, rssi):
+        caught.append((self.node_id, frame))
+        inner(self, frame, rssi)
+
+    monkeypatch.setattr(Node, "_on_frame", logged)
+    w = World(["a", "b", "c"], 60.0, cfg=node_config(extended=True))
+    # c misses only the first event's indications
+    w.blackout(0, 2_280, pair=("a", "c"))
+    w.publish_at(0, "a", w.addr["b"], bytes(50), 1)
+    w.engine.run_until_idle()
+    sent = w.sent_by("a")
+    events = [sent[i:i + 4] for i in range(0, len(sent), 4)]
+    assert len(events) >= 3
+    sets = []
+    for *inds, aux in events:
+        assert [f.kind for f in inds] == [FrameKind.EXT_IND] * 3
+        assert aux.kind is FrameKind.AUX
+        assert all(f.payload is aux.eligible for f in inds)
+        heard = {rx for rx, f in caught if any(f is i for i in inds)}
+        assert aux.eligible == heard
+        got_aux = {rx for rx, f in caught if f is aux}
+        assert got_aux <= heard
+        # a receiver outside the set is not resolved at all: no RSSI drawn
+        assert set(aux.rssi_cache) <= heard
+        sets.append(aux.eligible)
+    assert len({id(e) for e in sets}) == len(sets)   # a fresh set per event
+    first_aux = events[0][3]
+    assert first_aux.eligible == {"b"}
+    assert {rx for rx, f in caught if f is first_aux} == {"b"}
+    assert any("c" in e for e in sets[1:])
 
 
 def test_adv_queue_interleaves_pdus():
