@@ -4,10 +4,17 @@ Every protocol module runs inside this kernel: code observes time only
 through Engine.now and makes progress only via scheduled callbacks.
 Randomness comes from RandomSource streams derived deterministically from
 one master seed, so a run is fully reproducible from (config, seed).
+
+Events dispatch in (fire_at, insertion counter) order.  schedule() queues
+one event; schedule_many() queues a whole up-front schedule, numbering its
+items in the order given and restoring the heap once, so its events
+dispatch exactly as the same items passed one by one to schedule() would.
 """
 
+import _random
 import heapq
 import random
+from functools import lru_cache
 # normal_quantile(p, mu, sigma) is the routine NormalDist.inv_cdf calls once
 # it has checked 0 < p < 1; the medium's shadowing draw calls it directly
 from statistics import _normal_dist_inv_cdf as normal_quantile
@@ -25,12 +32,25 @@ def _splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+# every run derives the same few labels per node ("proto:<id>", "chan:<id>")
+@lru_cache(maxsize=1 << 14)
 def _label_hash(label: str) -> int:
     # FNV-1a, 64 bit.  Does not depend on PYTHONHASHSEED.
     h = 0xCBF29CE484222325
     for b in label.encode("utf-8"):
         h = ((h ^ b) * 0x100000001B3) & _MASK64
     return h
+
+
+def _generator(seed: int) -> random.Random:
+    # random.Random(seed) seeds through the Python-level seed(); the C seed
+    # sets the same whole state directly.  From 3.11 on __new__ leaves the
+    # state unseeded; on 3.10 it seeds from urandom first, which the C seed
+    # then overwrites
+    rng = random.Random.__new__(random.Random)
+    _random.Random.seed(rng, seed)
+    rng.gauss_next = None
+    return rng
 
 
 class RandomSource:
@@ -45,7 +65,8 @@ class RandomSource:
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
-        self._rng = random.Random(self.seed)
+        # the same state as random.Random(self.seed), seeded once in C
+        self._rng = _generator(self.seed)
 
     def stream(self, label: str) -> "RandomSource":
         """Derive an independent child stream; same (seed, label) -> same stream."""
@@ -98,6 +119,29 @@ class Engine:
         self._counter += 1
         heapq.heappush(self._heap, entry)
         return entry
+
+    def schedule_many(self, items) -> None:
+        """Queue action(*args) at fire_at for each (fire_at, action, args).
+
+        The items take consecutive insertion counters in the order given,
+        so they dispatch as per-item schedule() calls in that order would.
+        Nothing is queued unless every fire_at is at or after now.  One
+        heapify restores the heap: linear in its size, and a time-sorted
+        schedule loaded onto an empty heap already is one.
+        """
+        entries = [[fire_at, counter, action, args]
+                   for counter, (fire_at, action, args)
+                   in enumerate(items, self._counter)]
+        if not entries:
+            return
+        first = min(entries)[0]
+        if first < self.now:
+            raise ConfigError(
+                f"cannot schedule event at t={first} µs: clock already at {self.now} µs"
+            )
+        self._counter += len(entries)
+        self._heap += entries
+        heapq.heapify(self._heap)
 
     def schedule_after(self, delay: int, action, *args) -> list:
         return self.schedule(self.now + delay, action, *args)

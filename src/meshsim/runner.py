@@ -15,6 +15,8 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import attrgetter
 
 from .engine import Engine, RandomSource
 from .errors import ConfigError
@@ -81,16 +83,18 @@ def _emit_noise(medium: Medium, channel: int, power_dbm: float, start: int) -> N
 
 def _schedule_interference(engine: Engine, medium: Medium, cfg: ScenarioConfig,
                            rng: RandomSource, horizon_us: int) -> None:
+    bursts = []
     t = 0.0
     while True:
         u = rng.draw_uniform(0.0, 1.0)
         t += -math.log(max(1e-12, 1.0 - u)) * 1e6 / cfg.interference_rate_per_s
         if t >= horizon_us:
-            return
+            break
         channel = PRIMARY_CHANNELS[min(2, int(rng.draw_uniform(0, 3)))]
         start = round(t)
-        engine.schedule(start, _emit_noise, medium, channel,
-                        cfg.interference_power_dbm, start)
+        bursts.append((start, _emit_noise,
+                       (medium, channel, cfg.interference_power_dbm, start)))
+    engine.schedule_many(bursts)
 
 
 def run_experiment(topology: Topology, cfg: ScenarioConfig, seed: int) -> RunResult:
@@ -124,10 +128,16 @@ def run_experiment(topology: Topology, cfg: ScenarioConfig, seed: int) -> RunRes
     medium.finalize(cfg.tx_power_dbm)
 
     payload = bytes(cfg.message_size_octets)
-    for s in schedule:
-        dst = addr[s.dst_node] if s.dst_node is not None else s.group
-        engine.schedule(s.time_us, nodes[s.source].publish, dst, payload,
-                        s.app_msg_id)
+
+    # a send's fields, in ScheduledSend's order, are its event's arguments
+    def publish(app_msg_id, _time_us, source, dst_node, group, *_):
+        nodes[source].publish(
+            addr[dst_node] if dst_node is not None else group, payload,
+            app_msg_id)
+
+    # each send paired with its time and the action in one C-level pass
+    engine.schedule_many(
+        zip(map(attrgetter("time_us"), schedule), repeat(publish), schedule))
     if cfg.interference_rate_per_s > 0:
         horizon = schedule[-1].time_us + s_to_us(cfg.guard_s)
         _schedule_interference(engine, medium, cfg,

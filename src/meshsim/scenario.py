@@ -26,6 +26,9 @@ import dataclasses
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import count, repeat
+from operator import add, itemgetter
+from typing import NamedTuple
 
 from .engine import RandomSource
 from .errors import ConfigError
@@ -56,7 +59,10 @@ def s_to_us(s: float) -> int:
     return round(s * 1_000_000)
 
 
-@dataclass(frozen=True)
+# slots: with 31 fields an instance dict would sit past CPython 3.11's
+# 29-attribute inline limit, and every cfg.<field> read would take the
+# slower hinted dict lookup
+@dataclass(frozen=True, slots=True)
 class ScenarioConfig:
     pattern: str = "many-to-many"
     senders: int = 3
@@ -330,8 +336,14 @@ def scenario_to_document(cfg: ScenarioConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ScheduledSend:
+class ScheduledSend(NamedTuple):
+    """One application message, published by source at time_us.
+
+    A plain tuple underneath: it compares equal to the tuple of its six
+    fields, in this order.  run_experiment passes a send's fields, in
+    this order, as the arguments of the event that publishes it.
+    """
+
     app_msg_id: int
     time_us: int
     source: str
@@ -363,20 +375,27 @@ def _draw_disjoint_pairs(space: PairSpace, k: int, rng: RandomSource):
 
 def build_traffic(topology: Topology, cfg: ScenarioConfig,
                   rng: RandomSource) -> tuple[ScheduledSend, ...]:
-    """Expand a scenario into per-message sends, sorted by time."""
+    """Expand a scenario into per-message sends, sorted by time.
+
+    Iteration m starts at m * period, plus one jitter offset when the
+    scenario has jitter, drawn before the iteration's sender pairs: sends
+    inside an iteration stay simultaneous (worst-case contention) while
+    the iteration's phase relative to the scan cycle is randomized.
+    Sends are numbered from 1 in time order; an iteration's sends keep
+    their order among equal times.
+    """
     period_us = ms_to_us(cfg.period_ms)
-    sends: list[tuple[int, str, str | None, int | None]] = []
-
     jitter_us = ms_to_us(cfg.jitter_ms)
-
-    def iteration_start(m: int) -> int:
-        # one offset per iteration: sends inside an iteration stay
-        # simultaneous (worst-case contention) while the iteration's phase
-        # relative to the scan cycle is randomized
-        t = m * period_us
-        if jitter_us == 0:
-            return t
-        return t + min(int(rng.draw_uniform(0, jitter_us)), jitter_us - 1)
+    # one offset per iteration, drawn lazily: each just before its
+    # iteration's sender pairs.  An offset is draw_uniform(0, jitter_us),
+    # that is 0 + jitter_us * u (adding 0 is exact), truncated and capped
+    # at jitter_us - 1; spelled inline, as a draw_uniform and a min() call
+    # per iteration made this function about a third slower on room8_group
+    draw, last = rng.random, jitter_us - 1
+    offsets = (o if (o := int(jitter_us * draw())) <= last else last
+               for _ in range(cfg.iterations)) if jitter_us else repeat(0)
+    starts = map(add, range(0, cfg.iterations * period_us, period_us),
+                 offsets)
 
     if cfg.pattern in ("one-to-many", "many-to-one"):
         missing = [n for n in (cfg.controller, *cfg.slaves)
@@ -385,13 +404,13 @@ def build_traffic(topology: Topology, cfg: ScenarioConfig,
             raise ConfigError(
                 "scenario names nodes missing from the topology: "
                 + ", ".join(repr(m) for m in missing))
-        for m in range(cfg.iterations):
-            t = iteration_start(m)
-            if cfg.mode == "group-acked-fixed":
-                sends.append((t, cfg.controller, None, GROUP_ADDRESS))
-            else:
-                for s in cfg.slaves:
-                    sends.append((t, cfg.controller, s, None))
+        routes = ((cfg.controller, None, GROUP_ADDRESS),) \
+            if cfg.mode == "group-acked-fixed" \
+            else tuple((cfg.controller, s, None) for s in cfg.slaves)
+        # every iteration sends the same routes, so sorting the starts
+        # alone orders the sends
+        times = [t for t in sorted(starts) for _ in routes]
+        routes *= cfg.iterations
     else:
         if 2 * cfg.senders > len(topology.nodes):
             raise ConfigError(
@@ -401,12 +420,18 @@ def build_traffic(topology: Topology, cfg: ScenarioConfig,
         if space.size == 0:
             raise ConfigError(
                 f"topology has no pairs >= {MIN_PAIR_HOPS} hops apart")
-        for m in range(cfg.iterations):
-            t = iteration_start(m)
-            for src, dst in _draw_disjoint_pairs(space, cfg.senders, rng):
-                sends.append((t, src, dst, None))
+        iterations = [(t, _draw_disjoint_pairs(space, cfg.senders, rng))
+                      for t in starts]
+        iterations.sort(key=itemgetter(0))
+        times = [t for t, pairs in iterations for _ in pairs]
+        routes = [(src, dst, None) for _, pairs in iterations for src, dst in pairs]
 
-    sends.sort(key=lambda s: s[0])
-    return tuple(
-        ScheduledSend(i + 1, t, src, dst, grp, cfg.message_size_octets)
-        for i, (t, src, dst, grp) in enumerate(sends))
+    # one C-level pass numbers the sends and builds each ScheduledSend:
+    # tuple.__new__ takes its six fields as one tuple, skipping the
+    # Python-level __new__ that checks their count (starmap over
+    # ScheduledSend made this function about half again slower on
+    # room8_group)
+    sources, dst_nodes, groups = zip(*routes)
+    return tuple(map(tuple.__new__, repeat(ScheduledSend), zip(
+        count(1), times, sources, dst_nodes, groups,
+        repeat(cfg.message_size_octets))))

@@ -1,10 +1,12 @@
 """Event kernel and RNG stream tests."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshsim.engine import Engine, RandomSource
+from meshsim.engine import _MASK64, Engine, RandomSource
 from meshsim.errors import ConfigError
 
 
@@ -92,6 +94,69 @@ def test_every_noncancelled_event_dispatches_exactly_once(times):
     assert len(hits) == len(times)
     # (fire_at, insertion order) is exactly the sort the kernel promises
     assert hits == sorted(hits)
+
+
+# fire times drawn from a narrow range, so most items share a time with another
+tied_times = st.lists(st.integers(min_value=0, max_value=8), max_size=40)
+
+
+def dispatch_order(load, early, bulk, late):
+    """Labels in dispatch order after scheduling early one by one, loading
+    bulk with load(engine, items), then scheduling late one by one."""
+    eng = Engine()
+    fired = []
+    for i, t in enumerate(early):
+        eng.schedule(t, fired.append, ("early", i))
+    load(eng, [(t, fired.append, (("bulk", i),)) for i, t in enumerate(bulk)])
+    for i, t in enumerate(late):
+        eng.schedule(t, fired.append, ("late", i))
+    assert eng.run_until_idle() == len(early) + len(bulk) + len(late)
+    return fired
+
+
+def one_by_one(eng, items):
+    for fire_at, action, args in items:
+        eng.schedule(fire_at, action, *args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_times, tied_times, tied_times)
+def test_schedule_many_dispatches_as_per_item_schedule(early, bulk, late):
+    # on an empty heap (no early items) and on a non-empty one, and with
+    # later schedule() calls interleaving among the loaded items
+    many = dispatch_order(Engine.schedule_many, early, bulk, late)
+    assert many == dispatch_order(one_by_one, early, bulk, late)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=100, max_value=200), max_size=10),
+       st.lists(st.integers(min_value=100, max_value=200), max_size=10),
+       st.integers(min_value=0, max_value=99))
+def test_schedule_many_past_item_queues_nothing(before, after, past):
+    eng = Engine()
+    eng.run(100)
+    fired = []
+    items = [(t, fired.append, (t,)) for t in [*before, past, *after]]
+    with pytest.raises(ConfigError):
+        eng.schedule_many(items)
+    # none of the items was queued, not even those before the past one
+    eng.schedule(150, fired.append, "x")
+    assert eng.run_until_idle() == 1
+    assert fired == ["x"]
+
+
+def test_schedule_many_of_nothing_is_a_no_op():
+    eng = Engine()
+    eng.schedule_many([])
+    assert eng.run_until_idle() == 0
+
+
+def test_stream_generator_is_random_random_of_the_masked_seed():
+    rng = random.Random(20)
+    seeds = [0, 1, _MASK64, _MASK64 + 1, -1, 2 ** 70 + 5]
+    seeds += [rng.getrandbits(70) - 2 ** 69 for _ in range(1000 - len(seeds))]
+    for s in seeds:
+        assert RandomSource(s)._rng.getstate() == random.Random(s & _MASK64).getstate()
 
 
 def test_same_seed_same_sequence():

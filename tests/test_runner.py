@@ -1,6 +1,9 @@
 """Experiment orchestration: multi-seed fan-out, arm comparison, the event cap."""
 
+import hashlib
+import math
 import os
+import statistics
 import subprocess
 import sys
 import tracemalloc
@@ -189,3 +192,35 @@ def test_relay_fraction_checked_before_relays_are_drawn(fraction):
     # at construction, before any run
     with pytest.raises(ConfigError, match="relay_fraction: must be in"):
         run_experiment(chain4(), ScenarioConfig(relay_fraction=fraction), 1)
+
+
+# ------------------------------------------------------------ background noise
+
+class FrameLog:
+    """Stands in for the medium: keeps every frame it is asked to air."""
+
+    def __init__(self):
+        self.frames = []
+
+    def begin_transmission(self, frame):
+        self.frames.append(frame)
+
+
+def test_noise_schedule():
+    engine, log = Engine(), FrameLog()
+    cfg = ScenarioConfig(interference_rate_per_s=200.0)
+    horizon = 10_000_000
+    runner._schedule_interference(engine, log, cfg,
+                                  RandomSource(3).stream("interference"), horizon)
+    assert engine.run_until_idle() == len(log.frames)
+    bursts = [(f.start, f.channel) for f in log.frames]
+    # pinned when each burst was still queued by its own schedule() call
+    assert hashlib.sha256(repr(bursts).encode()).hexdigest() == \
+        "3da941dbcbfc229f80549b8242ccf453c29de9a28816294a2e5f2e8d3bfcb081"
+    assert all(0 <= start < horizon for start, _ in bursts)
+    assert {channel for _, channel in bursts} <= {37, 38, 39}
+    assert all(f.power_dbm == cfg.interference_power_dbm for f in log.frames)
+    # a Poisson count with mean rate x horizon, inside its 99.9 % interval
+    mean = cfg.interference_rate_per_s * horizon / 1e6
+    count = statistics.NormalDist(mean, math.sqrt(mean))
+    assert count.inv_cdf(0.0005) <= len(bursts) <= count.inv_cdf(0.9995)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import pickle
 import tracemalloc
@@ -15,6 +16,7 @@ from meshsim.scenario import (
     MIN_PAIR_HOPS,
     PAIR_DRAW_ATTEMPTS,
     ScenarioConfig,
+    ScheduledSend,
     apply_overrides,
     build_traffic,
     load_scenario,
@@ -389,6 +391,58 @@ def test_schedule_is_deterministic_per_seed():
     c = build_traffic(t, cfg, RandomSource(6).stream("traffic"))
     assert a == b
     assert a != c
+
+
+def test_sends_are_plain_tuples():
+    t = line_topology(4)
+    cfg = ScenarioConfig(pattern="one-to-many", mode="group-acked-fixed",
+                         controller="x00", slaves=("x01",), iterations=2)
+    sends = build_traffic(t, cfg, RandomSource(1).stream("traffic"))
+    assert sends == ((1, 0, "x00", None, GROUP_ADDRESS, 11),
+                     (2, 1_000_000, "x00", None, GROUP_ADDRESS, 11))
+    assert all(type(s) is ScheduledSend for s in sends)
+    assert sends[1]._asdict()["time_us"] == 1_000_000
+
+
+def test_jitter_past_the_period_reorders_whole_iterations():
+    # iterations overlap, so later ones can start first; each keeps its
+    # sends together and in slave order, and ids follow time
+    t = line_topology(4)
+    cfg = ScenarioConfig(pattern="one-to-many", controller="x00",
+                         slaves=("x01", "x02", "x03"), iterations=30,
+                         period_ms=10.0, jitter_ms=100.0)
+    sends = build_traffic(t, cfg, RandomSource(4).stream("traffic"))
+    assert [s.app_msg_id for s in sends] == list(range(1, 91))
+    times = [s.time_us for s in sends]
+    assert times == sorted(times)
+    assert [s.dst_node for s in sends] == ["x01", "x02", "x03"] * 30
+    assert times[::3] == times[1::3] == times[2::3]
+    # draw_uniform(0, jitter) truncated: the same offsets, in iteration
+    # order, as the sorted starts
+    rng = RandomSource(4).stream("traffic")
+    assert times[::3] == sorted(10_000 * m + int(rng.draw_uniform(0, 100_000))
+                                for m in range(30))
+    assert times[::3] != [10_000 * m for m in range(30)]
+
+
+def test_schedules_of_bundled_scenarios_pinned():
+    # every bundled scenario at seeds 1-12, also with iterations that
+    # overlap, field by field; pinned while each send was a frozen dataclass
+    out = []
+    for scn in ("mm3.scn", "mm3_ext50.scn", "mm3_legacy50.scn", "mm3_seg19.scn",
+                "mm7.scn", "otm_group.scn", "otm_unicast.scn",
+                "single_hop_group.scn"):
+        topo = load_bundled_topology(
+            "office_single_floor_8.topo" if scn == "single_hop_group.scn"
+            else "office_two_floor_20.topo")
+        text = bundled_data_path(scn).read_text(encoding="utf-8")
+        for overrides in ((), ("jitter_ms=2500",)):
+            cfg = load_scenario(text, ["iterations=20", *overrides])
+            for seed in range(1, 13):
+                sends = build_traffic(topo, cfg, RandomSource(seed).stream("traffic"))
+                out.append([tuple(s) for s in sends])
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == \
+        "1b8f668ca6caf0516102891c601b34550f03e65901232864b3110f5bdb6d1286"
 
 
 def test_jitter_offsets_iterations_not_sends():
