@@ -9,10 +9,13 @@ Events dispatch in (fire_at, insertion counter) order.  schedule() queues
 one event; schedule_many() queues a whole up-front schedule, numbering its
 items in the order given and restoring the heap once, so its events
 dispatch exactly as the same items passed one by one to schedule() would.
+run_until_idle() is the one dispatch loop: it drains the queue, or, given
+until, runs only the events due by then and leaves the clock at until.
 """
 
 import _random
 import heapq
+import math
 import random
 from functools import lru_cache
 # normal_quantile(p, mu, sigma) is the routine NormalDist.inv_cdf calls once
@@ -97,8 +100,8 @@ class Engine:
     to cancel(); cancelled events are skipped and not counted.
 
     ``now`` is the virtual clock in µs.  It is a plain slot, read directly
-    on the per-frame path; only run() and run_until_idle() write it, and
-    callers must treat it as read-only.
+    on the per-frame path; only the one dispatch loop, run_until_idle(),
+    writes it, and callers must treat it as read-only.
     """
 
     __slots__ = ("_heap", "_counter", "now", "dispatched")
@@ -151,36 +154,28 @@ class Engine:
         """Mark a scheduled event as cancelled; it will be skipped on dispatch."""
         handle[2] = None
 
-    def run(self, until: int) -> int:
-        """Dispatch every pending event due at or before `until`.
+    def run_until_idle(self, max_events: int | None = None, *,
+                       until: int | None = None) -> int:
+        """Dispatch events in order; returns the number dispatched.
 
-        Events scheduled during dispatch also run if due.  Leaves the clock
-        at `until` even when the queue empties early.  Returns the number of
-        events dispatched.
+        Without `until` the queue drains and the clock stops at the last
+        event.  With it, only events due at or before `until` run, those
+        scheduled during dispatch included, and once none is left the
+        clock is at `until`, even if the queue emptied earlier.  At most
+        max_events run when it is given.
         """
-        if until < self.now:
+        stop = math.inf if until is None else until
+        if stop < self.now:
             raise ConfigError(f"cannot run to t={until} µs: clock already at {self.now} µs")
         count = 0
         heap = self._heap
         pop = heapq.heappop
-        while heap and heap[0][0] <= until:
-            fire_at, _, action, args = pop(heap)
-            if action is None:
-                continue
-            self.now = fire_at
-            action(*args)
-            count += 1
-        self.now = until
-        self.dispatched += count
-        return count
-
-    def run_until_idle(self, max_events: int | None = None) -> int:
-        """Dispatch until the queue drains; the clock stops at the last event."""
-        count = 0
-        heap = self._heap
-        pop = heapq.heappop
         while heap:
-            fire_at, _, action, args = pop(heap)
+            entry = pop(heap)
+            fire_at, _, action, args = entry
+            if fire_at > stop:
+                heapq.heappush(heap, entry)
+                break
             if action is None:
                 continue
             self.now = fire_at
@@ -188,5 +183,7 @@ class Engine:
             count += 1
             if max_events is not None and count >= max_events:
                 break
+        if until is not None and (not heap or heap[0][0] > until):
+            self.now = until
         self.dispatched += count
         return count

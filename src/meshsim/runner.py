@@ -153,11 +153,6 @@ def run_experiment(topology: Topology, cfg: ScenarioConfig, seed: int) -> RunRes
                      collector.mean_tx_power_dbm, dispatched)
 
 
-def _run_one(args: tuple) -> RunResult:
-    topology, cfg, seed = args
-    return run_experiment(topology, cfg, seed)
-
-
 def run_many(topology: Topology, cfg: ScenarioConfig, seeds,
              jobs: int | None = None) -> dict[int, RunResult]:
     """Run one seed per process; results keyed by seed, in seed order."""
@@ -174,9 +169,10 @@ def run_many(topology: Topology, cfg: ScenarioConfig, seeds,
         # imported here: a single-process run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        work = [(topology, cfg, s) for s in seeds]
+        # map zips its arguments, so the repeats stop at the last seed
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_one, work))
+            results = list(pool.map(run_experiment, repeat(topology),
+                                    repeat(cfg), seeds))
     return {r.seed: r for r in results}
 
 

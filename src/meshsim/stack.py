@@ -114,15 +114,16 @@ class MeshPdu:
 
 
 def segment_payload(payload: bytes, *, extended: bool = False) -> list[bytes]:
-    """Transport chunking: one unsegmented chunk when small, else fixed-size segments."""
+    """Split a payload into segments of the bearer's fixed capacity, the last shorter.
+
+    Whether a payload is segmented at all is Node._send_copy's decision;
+    any payload given here is segmented, even one that fits one segment.
+    """
     if len(payload) > TRANSPORT_MAX_OCTETS:
         raise ConfigError(
             f"payload of {len(payload)} octets exceeds transport maximum "
             f"{TRANSPORT_MAX_OCTETS}")
-    limit = EXT_UNSEGMENTED_MAX_OCTETS if extended else UNSEGMENTED_MAX_OCTETS
     cap = EXT_SEGMENT_CAPACITY_OCTETS if extended else SEGMENT_CAPACITY_OCTETS
-    if len(payload) <= limit:
-        return [payload]
     return [payload[i:i + cap] for i in range(0, len(payload), cap)]
 
 
@@ -143,8 +144,6 @@ class NetworkCache(OrderedDict):
         self.capacity = capacity
 
     def insert(self, key) -> None:
-        if key in self:
-            return
         self[key] = None
         if len(self) > self.capacity:
             self.popitem(last=False)
@@ -448,10 +447,6 @@ class Node:
             self._rx_bufs[key] = buf
             buf.timer = self.engine.schedule_after(
                 REASSEMBLY_TIMEOUT_US, self._reassembly_timeout, key)
-        if buf.count != count:
-            log.warning("%s: conflicting segment count for %s: %d vs %d",
-                        self.node_id, key, buf.count, count)
-            return
         if idx in buf.got:
             return
         buf.got[idx] = pdu.payload
@@ -506,12 +501,6 @@ class Node:
             # another round on top of copies that have not aired yet
             self._transport_round(tag, attempt)
 
-    def _transport_timer(self, tag) -> None:
-        attempt = self._tx_attempts.get(tag)
-        if attempt is None:
-            return
-        self._transport_round(tag, attempt)
-
     def _transport_round(self, tag, attempt: _TxAttempt) -> None:
         if attempt.timer is not None:
             Engine.cancel(attempt.timer)
@@ -556,7 +545,7 @@ class Node:
             # the round timer is armed once the train has left the advertiser
             attempt.timer = self.engine.schedule_after(
                 SEG_ROUND_BASE_US + SEG_ROUND_PER_TTL_US * self.cfg.default_ttl,
-                self._transport_timer, tag)
+                self._transport_round, tag, attempt)
 
     # --------------------------------------------------------------- advertiser
     def _enqueue(self, pdu: MeshPdu, n_events: int, on_done=None) -> None:

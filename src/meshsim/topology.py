@@ -55,8 +55,6 @@ _LOSS_PER_DECADE_DB = 10.0 * PATH_LOSS_EXPONENT
 EDGE_SENSITIVITY_DBM = PHY_1M.sensitivity_dbm
 EDGE_MARGIN_DB = 5.0
 
-UNREACHABLE = math.inf
-
 # placement bounds far beyond any building; within them every pair's loss,
 # path loss plus attenuation times floors crossed, is a finite float
 MAX_ABS_FLOOR = 10**6
@@ -135,15 +133,6 @@ class Topology:
     def node_ids(self) -> tuple[str, ...]:
         return tuple(self.nodes)
 
-    def path_loss_db(self, a: str, b: str) -> float:
-        for nid in (a, b):
-            if nid not in self.nodes:
-                raise ConfigError(f"unknown node {nid!r}")
-        if a == b:
-            raise ConfigError(f"path loss of node {a!r} to itself")
-        index, table = self.loss_table()
-        return table[index[a]][index[b]]
-
     def loss_table(self) -> tuple[dict[str, int], list[list[float]]]:
         """(index, table): table[index[a]][index[b]] is the loss in dB from a to b.
 
@@ -202,13 +191,6 @@ class Topology:
                 a: tuple([b for b, v in zip(ids, row) if v <= limit])
                 for a, row in zip(ids, self.loss_table()[1])}
         return MappingProxyType(neigh)
-
-    def hop_distance(self, a: str, b: str, tx_power_dbm: float = 0.0) -> float:
-        """Shortest hop count on the connectivity graph; UNREACHABLE if none."""
-        for nid in (a, b):
-            if nid not in self.nodes:
-                raise ConfigError(f"unknown node {nid!r}")
-        return _hops_from(self.adjacency(tx_power_dbm), a).get(b, UNREACHABLE)
 
 
 def _hops_from(adj: Mapping[str, tuple[str, ...]], src: str,

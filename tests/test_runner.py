@@ -129,6 +129,27 @@ def test_transport_state_pruned_after_run(monkeypatch):
     assert sum(len(n._tx_attempts) for n in nodes) == 0
 
 
+@pytest.mark.parametrize("topology,scenario,overrides", [
+    ("office_two_floor_20.topo", "mm3_seg19.scn", ()),
+    ("office_single_floor_8.topo", "single_hop_group.scn", ("power_control=on",)),
+], ids=["mm3_seg19", "single_hop_group+power_control=on"])
+def test_node_stays_within_inline_attribute_budget(monkeypatch, topology,
+                                                   scenario, overrides):
+    # CPython 3.11 stores at most 29 instance attributes inline; past that
+    # every attribute read on a node takes a dict lookup (see Node)
+    nodes = []
+
+    class RecordedNode(runner.Node):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            nodes.append(self)
+
+    monkeypatch.setattr(runner, "Node", RecordedNode)
+    run_experiment(load_bundled_topology(topology),
+                   bundled(scenario, "iterations=10", *overrides), 1)
+    assert nodes and max(len(vars(n)) for n in nodes) <= 29
+
+
 # ------------------------------------------------------------ relay subsets
 
 def one_room(n: int) -> Topology:

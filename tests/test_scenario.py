@@ -31,7 +31,7 @@ from meshsim.topology import (
     load_bundled_topology,
     load_topology,
 )
-from test_topology import mixed_topologies, oracle_eligible_pairs, split_topologies
+from test_topology import hops, mixed_topologies, oracle_eligible_pairs, split_topologies
 
 HEADER = "meshsim-scenario v1"
 
@@ -380,7 +380,7 @@ def test_many_to_many_pairs_disjoint_and_distant():
         assert len(endpoints) == 14
         assert len(set(endpoints)) == 14
         for s in batch:
-            assert t.hop_distance(s.source, s.dst_node) >= 2
+            assert hops(t, s.source, s.dst_node) >= 2
 
 
 def test_schedule_is_deterministic_per_seed():

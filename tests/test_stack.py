@@ -1,5 +1,6 @@
 """Protocol machine behavior: flooding, transport recovery, advertising cadence."""
 
+import logging
 import math
 
 import pytest
@@ -20,7 +21,11 @@ from meshsim.radio import (
 )
 from meshsim.scenario import ScenarioConfig
 from meshsim.stack import (
+    INTER_CHANNEL_GAP_US,
     RX_DONE_CAPACITY,
+    SEG_ROUND_BASE_US,
+    SEG_ROUND_PER_TTL_US,
+    TRANSPORT_RETRY_ROUNDS,
     MeshPdu,
     NetworkCache,
     Node,
@@ -132,7 +137,7 @@ def test_scanner_channel_rotation():
 
 
 @pytest.mark.parametrize("size,expected", [
-    (0, [0]),
+    (0, []),
     (11, [11]),
     (12, [12]),
     (19, [12, 7]),
@@ -145,7 +150,7 @@ def test_segment_chunk_shapes(size, expected):
 
 
 def test_segment_chunk_shapes_extended():
-    assert [len(c) for c in segment_payload(bytes(100), extended=True)] == [100]
+    assert [len(c) for c in segment_payload(bytes(100), extended=True)] == [96, 4]
     assert [len(c) for c in segment_payload(bytes(101), extended=True)] == [96, 5]
     assert [len(c) for c in segment_payload(bytes(380), extended=True)] == [96, 96, 96, 92]
 
@@ -160,10 +165,8 @@ def test_segments_rejoin(payload, extended):
     chunks = segment_payload(payload, extended=extended)
     assert b"".join(chunks) == payload
     cap = 96 if extended else 12
-    limit = 100 if extended else 11
-    if len(payload) > limit:
-        assert len(chunks) == -(-len(payload) // cap)
-        assert all(len(c) == cap for c in chunks[:-1])
+    assert len(chunks) == -(-len(payload) // cap)
+    assert all(len(c) == cap for c in chunks[:-1])
 
 
 def property_octets(pdu):
@@ -208,7 +211,7 @@ def quiet_params(**kw):
 def test_adv_event_cadence():
     w = World(["a", "b"], 300.0, cfg=quiet_params())
     w.publish_at(0, "a", w.addr["b"], b"x" * 11, 1)
-    w.engine.run(until=150_000)
+    w.engine.run_until_idle(until=150_000)
     frames = w.sent_by("a")
     assert len(frames) == 9
     assert [f.channel for f in frames] == [37, 38, 39] * 3
@@ -233,7 +236,7 @@ def test_legacy_event_structure():
     # mid-way through the first event the floor drops: raw 0 + 80 - 70
     # clamps to 0 dBm, from the next event on
     w.engine.schedule(300, observer.observe, 37, -80.0)
-    w.engine.run(until=300_000)
+    w.engine.run_until_idle(until=300_000)
     frames = w.sent_by("a")
     assert len(frames) == 18
     events = [frames[i:i + 3] for i in range(0, 18, 3)]
@@ -288,7 +291,7 @@ def test_adv_queue_interleaves_pdus():
     w = World(["a", "b"], 300.0, cfg=quiet_params())
     w.publish_at(0, "a", w.addr["b"], b"m1", 1)
     w.publish_at(0, "a", w.addr["b"], b"m2", 2)
-    w.engine.run(until=300_000)
+    w.engine.run_until_idle(until=300_000)
     frames = w.sent_by("a")
     assert len(frames) == 18
     ids = [f.payload.app_msg_id for f in frames]
@@ -513,15 +516,23 @@ def test_segmented_roundtrip_lossless():
     assert not sender._tx_attempts
 
 
-def test_twelve_octets_use_segmented_transport():
-    w = World(["a", "b"], 60.0)
-    w.publish_at(0, "a", w.addr["b"], bytes(12), 1)
+@pytest.mark.parametrize("extended,size,segs", [
+    (False, 11, {None}),
+    (False, 12, {(0, 1, 0)}),
+    (True, 100, {None}),
+    (True, 101, {(0, 2, 0), (1, 2, 0)}),
+], ids=["legacy-11", "legacy-12", "extended-100", "extended-101"])
+def test_twelve_octets_use_segmented_transport(extended, size, segs):
+    # publish alone decides between unsegmented and segmented transport
+    w = World(["a", "b"], 60.0, cfg=node_config(extended=extended))
+    w.publish_at(0, "a", w.addr["b"], bytes(size), 1)
     w.engine.run_until_idle()
     (rec,) = w.records(1)
     assert rec.status == DELIVERED and rec.retransmissions == 0
-    data = [f for f in w.sent_by("a", kind="data")]
-    assert data and all(f.payload.seg == (0, 1, 0) for f in data)
-    assert w.sent_by("b", kind="seg_ack")
+    data = w.sent_by("a", kind="data")
+    assert {f.payload.seg for f in data} == segs
+    # only a segmented unicast is block-acknowledged
+    assert bool(w.sent_by("b", kind="seg_ack")) == (segs != {None})
 
 
 @pytest.mark.parametrize("seed", [7, 11, 23])
@@ -542,6 +553,38 @@ def test_lost_segment_recovered_by_block_ack(seed):
     assert 200.0 < rec.one_way_ms < 300.0
     assert not w.nodes["b"]._rx_bufs
     assert (w.addr["a"], 0) in w.nodes["b"]._rx_done
+
+
+def test_unacked_segments_abandoned_after_timer_rounds(caplog):
+    # the block-ack path is dead, so only the sender's round timer drives
+    # the resends; the publication's own retry waits past the guard
+    w = World(["a", "b"], 60.0, cfg=quiet_params())
+    w.blackout(0, 10 ** 12, pair=("b", "a"))
+    sender = w.nodes["a"]
+    rounds = []          # (engine time, rounds done) at every timer firing
+    transport_round = sender._transport_round
+
+    def round_spy(tag, attempt):
+        rounds.append((w.engine.now, attempt.rounds))
+        transport_round(tag, attempt)
+
+    sender._transport_round = round_spy
+    caplog.set_level(logging.DEBUG, logger="meshsim.stack")
+    w.publish_at(0, "a", w.addr["b"], bytes(19), 1)
+    w.engine.run_until_idle()
+    # every round but the last resends; the last finds the budget spent
+    assert [done for _, done in rounds] == list(range(TRANSPORT_RETRY_ROUNDS + 1))
+    # each firing is one round gap after the previous train left the radio
+    gap = SEG_ROUND_BASE_US + SEG_ROUND_PER_TTL_US * node_config().default_ttl
+    data = w.sent_by("a", kind="data")
+    for t, _ in rounds:
+        last = max(f.end for f in data if f.start < t)
+        assert t == last + INTER_CHANNEL_GAP_US + gap
+    assert len(data) == (TRANSPORT_RETRY_ROUNDS + 1) * 2 * 3 * 3
+    (rec,) = w.records(1)
+    assert rec.retransmissions == TRANSPORT_RETRY_ROUNDS
+    assert not sender._tx_attempts
+    assert "a: transport attempt 0 abandoned" in caplog.messages
 
 
 def test_partial_buffer_acks_then_expires():
