@@ -1,7 +1,8 @@
 """Shared radio medium: airtime, occupancy and reception resolution.
 
 The medium is time-sliced by the event kernel, never threaded.  A frame is
-registered when its transmission begins and resolved for every candidate
+registered at or before its start (a node registers every frame of an
+advertising event when the event starts) and resolved for every candidate
 receiver in a single event at the frame's end.  Reception requires, in
 order: the receiver's scanner tuned to the frame's channel for the whole
 frame, no transmission of its own during the frame, received power at or
@@ -203,11 +204,14 @@ class Medium:
                 s for s in state if max_power_dbm - row[s[3]] >= threshold])
 
     def begin_transmission(self, frame: ChannelFrame) -> None:
-        """Register a frame on the air and schedule its resolution at frame.end.
+        """Register a frame and schedule its resolution at frame.end.
 
-        A primary-channel frame that the scan config cannot catch whole is
-        counted as not listening here, with no resolution event; it stays
-        registered, so it still interferes.
+        A node registers each frame when its event starts, at or before the
+        frame's own start; overlap is decided from start and end alone, so
+        the frame interferes and keeps its transmitter busy only while it is
+        on the air.  A primary-channel frame that the scan config cannot
+        catch whole is counted as not listening here, with no resolution
+        event; it stays registered, so it still interferes.
         """
         airtime = frame.end - frame.start
         if airtime > self._max_airtime_us:

@@ -16,8 +16,9 @@ Message path, source to destination:
   legacy advertising event transmits the same PDU on channels 37, 38 and
   39 back to back; in extended mode an event instead sends three short
   indications on the primary channels that point at one auxiliary frame on
-  a randomly chosen secondary channel.  Either way the event's frames are
-  built when it starts (_start_event) and aired one by one (_air).
+  a randomly chosen secondary channel.  Either way all of the event's
+  frames are built and registered on the medium when it starts
+  (_start_event), and the radio frees one gap after the last of them.
 * Receivers deduplicate on (src, seq) with a FIFO cache, hand matching
   destinations to the access layer, and relay a copy with ttl-1 when the
   relay rule allows and a relay buffer is free.
@@ -582,13 +583,16 @@ class Node:
         return self.cfg.tx_power_dbm
 
     def _start_event(self, job: _AdvJob) -> None:
-        """Build the event's frames, all at its one power, and air the first.
+        """Build the event's frames, all at its one power, and register them.
 
-        A legacy event is the PDU on 37, 38 and 39; an extended event is
-        three indications laid out the same way, then the PDU on a random
-        secondary channel EXT_AUX_OFFSET_US after them.  The indications
-        carry the event's eligible set, which every node that catches one
-        joins, and the aux frame reaches only that set.
+        A legacy event is the PDU on 37, 38 and 39, one gap apart; an
+        extended event is three indications laid out the same way, then the
+        PDU on a random secondary channel EXT_AUX_OFFSET_US after them.  The
+        indications carry the event's eligible set, which every node that
+        catches one joins, and the aux frame reaches only that set: the
+        indications resolve before it starts.  Every frame is registered
+        and counted now, in frame order, and the event ends one gap after
+        the last.
         """
         now = self.engine.now
         if job.events_left > 1:
@@ -612,18 +616,10 @@ class Node:
             frames += (ChannelFrame(node_id, self.rng.randrange(37), PHY_2M, power,
                                     f39.end + EXT_AUX_OFFSET_US, pdu.octets, AUX,
                                     pdu, payload),)
-        self._air(job, frames, 0)
-
-    def _air(self, job: _AdvJob, frames: tuple, i: int) -> None:
-        """Put frames[i] on the air; the event ends one gap after the last."""
-        frame = frames[i]
-        self.medium.begin_transmission(frame)
-        self.collector.on_frame(job.pdu.app_msg_id, frame.power_dbm)
-        if frame is frames[-1]:
-            self.engine.schedule(frame.end + INTER_CHANNEL_GAP_US,
-                                 self._finish_event, job)
-        else:
-            self.engine.schedule(frames[i + 1].start, self._air, job, frames, i + 1)
+        for frame in frames:
+            self.medium.begin_transmission(frame)
+            self.collector.on_frame(pdu.app_msg_id, power)
+        self.engine.schedule(frames[-1].end + gap, self._finish_event, job)
 
     def _finish_event(self, job: _AdvJob) -> None:
         heap = self._adv_heap

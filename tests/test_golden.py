@@ -28,33 +28,33 @@ ITERATIONS = 10
 # (topology, scenario, overrides) -> sha256 of the run's outputs
 GOLDEN = {
     ("office_two_floor_20.topo", "mm3.scn", ()):
-        "0528eb45b3a9182e5e0088567cda0b08b3fbf9392f5de5244d72888a82efcad1",
+        "b8da7a4abe605a383fe9a1af1d0a226f16a441f98e3a623b0a47fc190c6a7846",
     ("office_two_floor_20.topo", "mm3_ext50.scn", ()):
         "30273a93bd48568e9fadc82df30044e3d0e2f3a2fa0a9341b41d86d687d43b74",
     ("office_two_floor_20.topo", "mm3_legacy50.scn", ()):
-        "a31fe422fd334870656f6e678bf0b8ee9b61aa7be1295a78bc151eee36ba9770",
+        "60344b44c94a6df5520fdc201fc0aa215ec6e765d8795940af201386d76717ef",
     ("office_two_floor_20.topo", "mm3_seg19.scn", ()):
-        "dc144a35e85f3e00fff1573094335af3e5643befab5c68d549699e4972268cbd",
+        "b1a66430b1f6f0333db22977f09acfb063176635e5f5904ee8b1192ae3900933",
     ("office_two_floor_20.topo", "mm7.scn", ()):
-        "269da864821bc64350112a5afc2ccfba78b512f315980bd8024ee38da81f38ae",
+        "f67b4b1a754d2e84023fa6249faeae275fab728f4a5733ce65599e8106b7291b",
     ("office_two_floor_20.topo", "otm_group.scn", ()):
-        "78e316d5ce433fb1434fd005e6e8c0a3524260b1b4dbfee1b6847d89e92ea9d0",
+        "f32a993e1a1f04f62b58c58801b6321219148a9bb05bb9f71195027dd0081f7a",
     ("office_two_floor_20.topo", "otm_unicast.scn", ()):
-        "d58bef5e6d99a4271ae1c4b8c03840b9f678ca153652afffa8d17d1cb645e5e5",
+        "d408de1800e848a04f0a948e42d67357786ab2721fa253563bca388f49f3331c",
     ("office_single_floor_8.topo", "single_hop_group.scn", ()):
-        "da37f69b43dbd2bc93de4416b5e11de8659a8b5585164cdd6d06b8d81774beb4",
+        "f090bc402e330549e4ff9e7d6f69a3dd754b53c19a0caf9935189273ae907fbd",
     ("office_two_floor_20.topo", "mm3.scn",
      ("interference_rate_per_s=200",)):
-        "af2c971ebb824bbc1b3d807240021e08ff80d0d8c57f5e7bbe3a46f020ac1a50",
+        "0fd2bbc92b509caec9383d90174fd23b347a59219fee71b66f8fbd9b455379e4",
     ("office_two_floor_20.topo", "mm3.scn",
      ("scan_interval_ms=100", "scan_window_ms=30")):
-        "5f95677d2102e41ca5d89744eec1f1a46ce052f3f9018a65b56486259f2f7d26",
+        "069fcd143ecad99a8709550b7177007e7c18c7e2eac73f2beb36325c6c73f58f",
     ("office_single_floor_8.topo", "single_hop_group.scn",
      ("power_control=on", "power_control.zeta_th_dbm=-85")):
-        "34bc22758b2ba92d1bdbd3814d8834b2455cdbcd08bfacf5d3d4ccdea988dfdc",
+        "114a9bdf0c0ebea0478f3d9dfb43328e45ebfb71adc5759da0ba4f9448af8d7d",
     ("office_two_floor_20.topo", "mm3_ext50.scn",
      ("power_control=on", "interference_rate_per_s=200")):
-        "b866ef3b244664ae907fa2dd68dcc1bf0fdc612934527309fdef17fcd666d652",
+        "4bfb26599e8b0031ba8a671682b46ee1bf9b02eb0a06e07b2c2b9a3545dda06c",
 }
 
 

@@ -1,14 +1,21 @@
-"""Closed-form model oracles: results that follow from the model's rules alone.
+"""Model oracles: results that follow from the model's rules alone.
 
 Golden digests pin what the code does; these pin what it must do, so they
-stay fixed when a change re-pins a digest on purpose.
+stay fixed when a change re-pins a digest on purpose.  Some are closed
+forms; the advertiser's is a differential one, a second spelling of the
+scheduling rules in stack.py's docstring run against a live Node.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from meshsim.engine import Engine, RandomSource
 from meshsim.metrics import DELIVERED
 from meshsim.radio import PHY_1M, airtime_us
-from meshsim.stack import INTER_CHANNEL_GAP_US
+from meshsim.scenario import ScenarioConfig, ms_to_us
+from meshsim.stack import INTER_CHANNEL_GAP_US, MeshPdu, Node
+from test_runner import FrameLog
 from test_stack import SCAN_US, World, quiet_params
 
 
@@ -26,3 +33,94 @@ def test_first_event_latency(k, latency_us):
     (rec,) = w.records(1)
     assert rec.status == DELIVERED
     assert rec.delivery_time_us - rec.send_time_us == latency_us
+
+
+# --------------------------------------------------------------------------
+# The advertiser, against a reference scheduler written from stack.py's
+# docstring.  Its constants and airtimes are spelled by hand, so a change
+# to the stack's own cannot move both sides at once.
+# --------------------------------------------------------------------------
+
+GAP_US = 400                # between an event's frames, and after its last
+AUX_OFFSET_US = 1_000       # from the last indication's end to the aux frame
+INDICATION_OCTETS = 10
+
+
+def reference_advertiser(sends, cfg, rng):
+    """(start, channel, seq) of every frame a node airs, in airing order.
+
+    sends is [(enqueue time, seq, octets, events)] in enqueue order.  The
+    node has one radio and serves the earliest-due job, ties going to
+    enqueue order.  A new job is due at once; a job's next event is due
+    adv_interval plus a fresh advDelay after its previous event's start.
+    An event airs on 37, 38 and 39 one gap apart, in extended mode as
+    indications followed by the aux frame on a random secondary channel,
+    and the radio frees one gap after its last frame.
+    """
+    interval = ms_to_us(cfg.adv_interval_ms)
+    delay_max = ms_to_us(cfg.adv_delay_max_ms)
+    # [due, enqueue order, seq, octets, events left]; lists compare by
+    # (due, order), and order is unique
+    jobs = [[t, order, seq, octets, n]
+            for order, (t, seq, octets, n) in enumerate(sends)]
+    free, out = 0, []
+    while jobs:
+        start = max(free, min(job[0] for job in jobs))
+        job = min(job for job in jobs if job[0] <= start)
+        _, _, seq, octets, left = job
+        if left > 1:
+            job[0] = start + interval + int(rng.draw_uniform(0, delay_max))
+        primary_octets = INDICATION_OCTETS if cfg.extended else octets
+        t = start
+        for channel in (37, 38, 39):
+            out.append((t, channel, seq))
+            end = t + (10 + primary_octets) * 8          # 1M airtime
+            t = end + GAP_US
+        if cfg.extended:
+            aux_start = end + AUX_OFFSET_US
+            out.append((aux_start, rng.randrange(37), seq))
+            end = aux_start + (11 + octets) * 4          # 2M airtime
+        free = end + GAP_US
+        job[4] -= 1
+        if not job[4]:
+            jobs.remove(job)
+    return out
+
+
+class CollectorLog:
+    """Stands in for the collector: the message id of every counted frame."""
+
+    def __init__(self):
+        self.ids = []
+
+    def on_frame(self, app_msg_id, power_dbm):
+        self.ids.append(app_msg_id)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 60).map(lambda k: 500 * k),
+                          st.integers(1, 100), st.integers(1, 4)),
+                min_size=1, max_size=8),
+       st.booleans(), st.sampled_from([5.0, 20.0]), st.sampled_from([0.0, 10.0]),
+       st.integers(0, 2**32))
+def test_advertiser_matches_reference_scheduler(sends, extended, interval_ms,
+                                                delay_ms, seed):
+    # enqueue times on a 500 µs grid, so same-instant enqueues and jobs
+    # that come due while an event is on the air are common
+    cfg = ScenarioConfig(extended=extended, adv_interval_ms=interval_ms,
+                         adv_delay_max_ms=delay_ms)
+    sends = sorted(sends, key=lambda s: s[0])       # stable: list order breaks ties
+    engine, medium, log = Engine(), FrameLog(), CollectorLog()
+    node = Node("a", 1, cfg, True, engine, medium,
+                RandomSource(seed).stream("proto:a"),
+                RandomSource(seed).stream("chan:a"), log, {}, {})
+    for seq, (t, octets, events) in enumerate(sends):
+        engine.schedule(t, node._enqueue,
+                        MeshPdu(1, 2, seq, 5, bytes(octets), seq), events)
+    engine.run_until_idle()
+    assert len(log.ids) == len(medium.frames)
+    got = [(f.start, f.channel, seq) for f, seq in zip(medium.frames, log.ids)]
+    want = reference_advertiser(
+        [(t, seq, octets, events) for seq, (t, octets, events) in enumerate(sends)],
+        cfg, RandomSource(seed).stream("proto:a"))
+    assert got == want

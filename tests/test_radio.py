@@ -369,11 +369,14 @@ def expected(nodes, frames, loss):
             counts)
 
 
-def run_impl(nodes, frames, loss):
+def run_impl(nodes, frames, loss, ahead=False):
     """Air the frames through a Medium; same summary as expected().
 
-    A pair is delivered when on_frame fires and collided when on_rssi fires
-    without on_frame (the frame cleared sensitivity but lost on capture).
+    Each frame is registered at its start, or, with ahead, all of them at
+    t = 0 in list order, as a node registers a whole advertising event
+    when the event starts.  A pair is delivered when on_frame fires and
+    collided when on_rssi fires without on_frame (the frame cleared
+    sensitivity but lost on capture).
     """
     eng = Engine()
     med = Medium(eng, loss_table(loss), CONTINUOUS, CONTINUOUS,
@@ -397,7 +400,7 @@ def run_impl(nodes, frames, loss):
     for i, (tx, ch, p, s, n) in enumerate(frames):
         fr = ChannelFrame(tx, ch, PHY_1M, p, s, n)
         index[fr] = i
-        eng.schedule(fr.start, med.begin_transmission, fr)
+        eng.schedule(0 if ahead else fr.start, med.begin_transmission, fr)
     eng.run_until_idle()
     return delivered, heard - delivered, dict(med.outcome_counts)
 
@@ -416,7 +419,9 @@ def test_reception_oracle_two_frames():
             for s2 in range(0, 1000, 100):
                 for p1, p2 in itertools.product((0.0, -9.0), repeat=2):
                     frames = [("a", 37, p1, 0, 11), (tx2, 37, p2, s2, 11)]
-                    assert run_impl(nodes, frames, loss) == expected(nodes, frames, loss)
+                    want = expected(nodes, frames, loss)
+                    for ahead in (False, True):
+                        assert run_impl(nodes, frames, loss, ahead) == want
                     checked += 1
     assert checked == 64 * 2 * 10 * 4
 
@@ -439,4 +444,6 @@ def test_reception_oracle_three_frames():
                 ("b", 37, -9.0, s2, 11),
                 ("c", ch3, 0.0, s3, 11),
             ]
-            assert run_impl(nodes, frames, loss) == expected(nodes, frames, loss)
+            want = expected(nodes, frames, loss)
+            for ahead in (False, True):
+                assert run_impl(nodes, frames, loss, ahead) == want
