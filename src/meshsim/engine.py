@@ -19,7 +19,8 @@ import math
 import random
 from functools import lru_cache
 # normal_quantile(p, mu, sigma) is the routine NormalDist.inv_cdf calls once
-# it has checked 0 < p < 1; the medium's shadowing draw calls it directly
+# it has checked 0 < p < 1; it also refuses sigma <= 0.  The medium's
+# shadowing draw calls it directly
 from statistics import _normal_dist_inv_cdf as normal_quantile
 
 from .errors import ConfigError

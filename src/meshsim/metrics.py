@@ -87,10 +87,12 @@ class Collector:
     def on_retransmission(self, app_msg_id) -> None:
         self._msgs[app_msg_id].retx += 1
 
-    def on_frame(self, app_msg_id, power_dbm) -> None:
-        self._msgs[app_msg_id].frames += 1
-        self.frames_sent += 1
-        self.power_sum_dbm += power_dbm
+    def on_frame(self, app_msg_id, power_dbm, count) -> None:
+        """Count the frames of one advertising event, all aired at power_dbm."""
+        self._msgs[app_msg_id].frames += count
+        self.frames_sent += count
+        for _ in range(count):  # once per frame: the float sum of frame-by-frame calls
+            self.power_sum_dbm += power_dbm
 
     def flag_guard(self, app_msg_id) -> None:
         self._msgs[app_msg_id].flagged = True

@@ -1,9 +1,9 @@
 """Shared radio medium: airtime, occupancy and reception resolution.
 
 The medium is time-sliced by the event kernel, never threaded.  A frame is
-registered at or before its start (a node registers every frame of an
-advertising event when the event starts) and resolved for every candidate
-receiver in a single event at the frame's end.  Reception requires, in
+registered at or before its start (a node registers all the frames of an
+advertising event in one call when the event starts) and resolved for every
+candidate receiver in a single event at the frame's end.  Reception requires, in
 order: the receiver's scanner tuned to the frame's channel for the whole
 frame, no transmission of its own during the frame, received power at or
 above the PHY's sensitivity, and a capture margin over every overlapping
@@ -19,26 +19,31 @@ Medium._resolve_all is the one place the other rules are decided.
 
 Shadowing is drawn lazily, once per (frame, receiver), from the receiver's
 own channel stream, and cached on the frame: one generator step u becomes
-sigma times the standard normal quantile of u.  An RSSI already in a
-frame's cache is used as it is, with no draw.  The draws of one stream are
-therefore made in resolution order: for each resolved frame, in candidate
-order, the frame's own RSSI and then, until one fails capture, each
-overlapping frame's RSSI not yet cached.  Every digest depends on that
-order; a change to the loop must keep it, or alter results on purpose.
+sigma times the standard normal quantile of u.  The cache is a list with
+one slot per row of the loss table, addressed by the receiver's position
+there; it is made when the frame is resolved, or found overlapping a
+resolved frame on its channel, whichever comes first, so most frames that
+no scanner catches never get one.  An RSSI already in a frame's cache is
+used as it is, with no draw.  The draws of one stream are therefore made
+in resolution order: for each resolved frame, in candidate order, the
+frame's own RSSI and then, until one fails capture, each overlapping
+frame's RSSI not yet cached.  Every digest depends on that order; a change
+to the loop must keep it, or alter results on purpose.
 
-One deque of frames in registration order records what is on the air; half
+One list of frames in registration order records what is on the air; half
 duplex and capture both read it.  A frame awaiting resolution at time now
 ends at or after now, so it started no earlier than now minus the longest
 airtime registered so far, and no frame starts before its registration.  A
 frame that ended more than that airtime before now can overlap neither it
-nor any later frame, and is pruned.
+nor any later frame, and each registration drops every such frame, wherever
+it sits in the list: a frame registered early with a late end (an event's
+last frame) holds back none registered after it.
 
 Wire-format headers of the mesh stack are folded into the per-PHY frame
 overhead, so a frame's pdu_octets is just its payload size.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -88,7 +93,12 @@ class Outcome(Enum):
 
 
 class ChannelFrame:
-    """One on-air frame.  end - start always equals airtime(octets, phy)."""
+    """One on-air frame.  end - start always equals airtime(octets, phy).
+
+    rssi_cache is None until the medium first needs an RSSI of the frame,
+    then a list holding, at a receiver's loss-table position, the dBm that
+    receiver heard the frame at, or None where it has not been drawn.
+    """
 
     __slots__ = (
         "transmitter", "channel", "phy", "power_dbm", "start", "end",
@@ -115,7 +125,7 @@ class ChannelFrame:
         self.kind = kind
         self.payload = payload
         self.eligible = eligible       # receiver-id set for AUX frames
-        self.rssi_cache = {}           # receiver id -> dBm, drawn once per frame
+        self.rssi_cache = None
 
 
 class _Receiver:
@@ -161,7 +171,7 @@ class Medium:
         self._scan_interval_us = scan_interval_us
         self._scan_window_us = scan_window_us
         self._receivers: dict = {}
-        self._on_air: deque = deque()   # ChannelFrames in registration order
+        self._on_air: list = []         # ChannelFrames in registration order
         self._tx_end: dict = {}         # registered node -> end of its last frame
         self._candidates: dict = {}
         self._max_airtime_us = 0
@@ -203,38 +213,46 @@ class Medium:
             self._candidates[tx] = tuple([
                 s for s in state if max_power_dbm - row[s[3]] >= threshold])
 
-    def begin_transmission(self, frame: ChannelFrame) -> None:
-        """Register a frame and schedule its resolution at frame.end.
+    def begin_transmission(self, *frames: ChannelFrame) -> None:
+        """Register a whole advertising event, its frames in airing order.
 
-        A node registers each frame when its event starts, at or before the
-        frame's own start; overlap is decided from start and end alone, so
-        the frame interferes and keeps its transmitter busy only while it is
-        on the air.  A primary-channel frame that the scan config cannot
+        This is the one way onto the air: a node passes all of an event's
+        frames when the event starts, at or before each frame's own start,
+        and a noise burst comes as one frame.  Overlap is decided from
+        start and end alone, so a frame interferes and keeps its
+        transmitter busy only while it is on the air.  The on-air record
+        is pruned once, then each frame in turn is checked for half duplex
+        and recorded.  A primary-channel frame that the scan config cannot
         catch whole is counted as not listening here, with no resolution
-        event; it stays registered, so it still interferes.
+        event; it stays recorded, so it still interferes.  Every other
+        frame but noise gets one resolution event at its end.
         """
-        airtime = frame.end - frame.start
-        if airtime > self._max_airtime_us:
-            self._max_airtime_us = airtime
-        last_end = self._tx_end.get(frame.transmitter)
-        if last_end is not None:  # virtual interferers are not registered nodes
-            if frame.start < last_end:
-                raise AssertionError(
-                    f"node {frame.transmitter!r} already transmitting at t={frame.start}")
-            self._tx_end[frame.transmitter] = frame.end
-        horizon = self.engine.now - self._max_airtime_us
-        on_air = self._on_air
-        on_air.append(frame)
-        while on_air and on_air[0].end < horizon:
-            on_air.popleft()
-        kind = frame.kind
-        if kind is NOISE:
-            return
-        if kind is not AUX and not _scanner_catches(
-                self._scan_interval_us, self._scan_window_us, frame):
-            self._not_listening += len(self._candidates[frame.transmitter])
-            return
-        self.engine.schedule(frame.end, self._resolve_all, frame)
+        engine = self.engine
+        tx_end = self._tx_end
+        interval, window = self._scan_interval_us, self._scan_window_us
+        # the frames this call adds start at or after now, so the horizon
+        # of the frames registered before it is the one that matters
+        horizon = engine.now - self._max_airtime_us
+        on_air = [o for o in self._on_air if o.end >= horizon]
+        for frame in frames:
+            airtime = frame.end - frame.start
+            if airtime > self._max_airtime_us:
+                self._max_airtime_us = airtime
+            last_end = tx_end.get(frame.transmitter)
+            if last_end is not None:  # virtual interferers are not registered nodes
+                if frame.start < last_end:
+                    raise AssertionError(
+                        f"node {frame.transmitter!r} already transmitting at t={frame.start}")
+                tx_end[frame.transmitter] = frame.end
+            on_air.append(frame)
+            kind = frame.kind
+            if kind is NOISE:
+                continue
+            if kind is not AUX and not _scanner_catches(interval, window, frame):
+                self._not_listening += len(self._candidates[frame.transmitter])
+                continue
+            engine.schedule(frame.end, self._resolve_all, frame)
+        self._on_air = on_air
 
     def _resolve_all(self, frame: ChannelFrame) -> None:
         """Decide the frame's outcome at every candidate receiver.
@@ -243,53 +261,67 @@ class Medium:
         receiver needs, in order: membership of frame.eligible (AUX frames
         only), no transmission of its own during the frame, RSSI at or above
         the PHY's sensitivity, and a capture margin over every overlapping
-        frame.
+        frame.  One pass over the on-air record finds the transmitters busy
+        during the frame and the same-channel overlaps, each with its cache
+        and its loss row (None for noise, heard at its power).
         """
         candidates = self._candidates[frame.transmitter]
         if frame.kind is AUX:
             pool = frame.eligible or ()
             candidates = [c for c in candidates if c[0] in pool]
-        start, end, channel = frame.start, frame.end, frame.channel
-        concurrent = [o for o in self._on_air
-                      if o.start < end and start < o.end and o is not frame]
-        busy = {o.transmitter for o in concurrent}
-        overlaps = [o for o in concurrent if o.channel == channel]
         index, table = self.index, self.table
+        start, end, channel = frame.start, frame.end, frame.channel
+        busy = set()
+        overlaps = []
+        for o in self._on_air:
+            if o.start < end and start < o.end and o is not frame:
+                busy.add(o.transmitter)
+                if o.channel == channel:
+                    other_cache = o.rssi_cache
+                    if other_cache is None:
+                        other_cache = o.rssi_cache = [None] * len(table)
+                    overlaps.append((other_cache, o.power_dbm, None if o.kind is NOISE
+                                     else table[index[o.transmitter]]))
         row = table[index[frame.transmitter]]
         sigma = self.shadowing_sigma_db
         sens = frame.phy.sensitivity_dbm
         capture = self.capture_db
         power = frame.power_dbm
         cache = frame.rssi_cache
+        if cache is None:
+            cache = frame.rssi_cache = [None] * len(table)
         primary = channel >= 37
+        # a shadow is normal_quantile(u, 0.0, sigma), which returns 0.0 + x *
+        # sigma for the standard quantile x: sigma times x to the bit.  It is
+        # undefined at sigma 0, where the shadow is 0.0
         n_nl = n_bs = n_col = n_del = 0
         for rx, receiver, rand, j in candidates:
             if rx in busy:      # half duplex: rx transmitted during the frame
                 n_nl += 1
                 continue
-            rssi = cache.get(rx)
+            rssi = cache[j]
             if rssi is None:
                 u = rand()
                 if u <= 0.0:
                     u = 5e-324
-                rssi = power - row[j] + (0.0 + sigma * normal_quantile(u, 0.0, 1.0))
-                cache[rx] = rssi
+                rssi = cache[j] = power - row[j] + (
+                    normal_quantile(u, 0.0, sigma) if sigma else 0.0)
             if rssi < sens:
                 n_bs += 1
                 continue
             captured = True
-            for other in overlaps:
-                other_rssi = other.rssi_cache.get(rx)
+            for other_cache, other_power, other_row in overlaps:
+                other_rssi = other_cache[j]
                 if other_rssi is None:
-                    if other.kind is NOISE:
-                        other_rssi = other.power_dbm
+                    if other_row is None:
+                        other_rssi = other_power
                     else:
                         u = rand()
                         if u <= 0.0:
                             u = 5e-324
-                        other_rssi = (other.power_dbm - table[index[other.transmitter]][j]
-                                      + (0.0 + sigma * normal_quantile(u, 0.0, 1.0)))
-                    other.rssi_cache[rx] = other_rssi
+                        other_rssi = other_power - other_row[j] + (
+                            normal_quantile(u, 0.0, sigma) if sigma else 0.0)
+                    other_cache[j] = other_rssi
                 if rssi - other_rssi < capture:
                     captured = False
                     break

@@ -590,9 +590,10 @@ class Node:
         PDU on a random secondary channel EXT_AUX_OFFSET_US after them.  The
         indications carry the event's eligible set, which every node that
         catches one joins, and the aux frame reaches only that set: the
-        indications resolve before it starts.  Every frame is registered
-        and counted now, in frame order, and the event ends one gap after
-        the last.
+        indications resolve before it starts.  The whole event is
+        registered with the medium in one call and counted with the
+        collector in one call, both now and in frame order, and the event
+        ends one gap after its last frame.
         """
         now = self.engine.now
         if job.events_left > 1:
@@ -616,9 +617,8 @@ class Node:
             frames += (ChannelFrame(node_id, self.rng.randrange(37), PHY_2M, power,
                                     f39.end + EXT_AUX_OFFSET_US, pdu.octets, AUX,
                                     pdu, payload),)
-        for frame in frames:
-            self.medium.begin_transmission(frame)
-            self.collector.on_frame(pdu.app_msg_id, power)
+        self.medium.begin_transmission(*frames)
+        self.collector.on_frame(pdu.app_msg_id, power, len(frames))
         self.engine.schedule(frames[-1].end + gap, self._finish_event, job)
 
     def _finish_event(self, job: _AdvJob) -> None:

@@ -58,8 +58,8 @@ def test_collector_mean_power():
     c = Collector()
     assert c.mean_tx_power_dbm is None
     c.on_send(1, "a", ("b",), 0)
-    c.on_frame(1, -10.0)
-    c.on_frame(1, -20.0)
+    c.on_frame(1, -10.0, 1)
+    c.on_frame(1, -20.0, 1)
     assert c.mean_tx_power_dbm == -15.0
     assert c.records()[0].frames_total == 2
 

@@ -6,15 +6,20 @@ forms; the advertiser's is a differential one, a second spelling of the
 scheduling rules in stack.py's docstring run against a live Node.
 """
 
+import math
+from collections import Counter
+from statistics import NormalDist
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshsim.engine import Engine, RandomSource
 from meshsim.metrics import DELIVERED
-from meshsim.radio import PHY_1M, airtime_us
+from meshsim.radio import PHY_1M, ChannelFrame, FrameKind, Medium, airtime_us
 from meshsim.scenario import ScenarioConfig, ms_to_us
 from meshsim.stack import INTER_CHANNEL_GAP_US, MeshPdu, Node
+from test_radio import CONTINUOUS, loss_table
 from test_runner import FrameLog
 from test_stack import SCAN_US, World, quiet_params
 
@@ -33,6 +38,41 @@ def test_first_event_latency(k, latency_us):
     (rec,) = w.records(1)
     assert rec.status == DELIVERED
     assert rec.delivery_time_us - rec.send_time_us == latency_us
+
+
+@pytest.mark.parametrize("noise_dbm", [-100.0, -78.0])
+def test_capture_against_noise_of_known_power(noise_dbm):
+    # noise is heard at its own power, with no path loss and no shadow
+    # draw, so over a link of loss L a frame at P survives a noise burst of
+    # power I when P - L + sigma Z >= max(sens, I + capture): its share is
+    # Phi((P - L - max(sens, I + capture)) / sigma).  At -100 dBm the noise
+    # is below sensitivity and only sensitivity binds; at -78 dBm capture does
+    sigma, capture, sens, n = 4.0, 10.0, PHY_1M.sensitivity_dbm, 2_000
+    links = {"r1": 62.0, "r2": 66.0, "r3": 70.0, "r4": 86.0, "r5": 90.0, "r6": 94.0}
+    losses = {("a", rx): v for rx, v in links.items()}
+    losses.update({(x, y): 200.0 for x in links for y in links if x < y})
+    engine = Engine()
+    medium = Medium(engine, loss_table(losses), CONTINUOUS, CONTINUOUS,
+                    shadowing_sigma_db=sigma, capture_db=capture)
+    delivered = Counter()
+    root = RandomSource(2024)
+    for rx in ["a", *links]:
+        medium.register(rx, root.stream(f"chan:{rx}"),
+                        lambda frame, rssi, rx=rx: delivered.update([rx]))
+    medium.finalize(0.0)
+    for k in range(n):
+        # the burst (39 octets, 392 us) covers the whole 168 us frame
+        noise = ChannelFrame("env", 37, PHY_1M, noise_dbm, 1_000 * k, 39,
+                             FrameKind.NOISE)
+        frame = ChannelFrame("a", 37, PHY_1M, 0.0, 1_000 * k + 50, 11)
+        engine.schedule(noise.start, medium.begin_transmission, noise)
+        engine.schedule(frame.start, medium.begin_transmission, frame)
+    engine.run_until_idle()
+    z = NormalDist().inv_cdf(0.9995)
+    for rx, loss in links.items():
+        p = NormalDist().cdf((0.0 - loss - max(sens, noise_dbm + capture)) / sigma)
+        # the normal approximation's 99.9 % interval, with continuity correction
+        assert abs(delivered[rx] - n * p) <= z * math.sqrt(n * p * (1 - p)) + 0.5, rx
 
 
 # --------------------------------------------------------------------------
@@ -93,8 +133,8 @@ class CollectorLog:
     def __init__(self):
         self.ids = []
 
-    def on_frame(self, app_msg_id, power_dbm):
-        self.ids.append(app_msg_id)
+    def on_frame(self, app_msg_id, power_dbm, count):
+        self.ids += [app_msg_id] * count
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+from statistics import NormalDist
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -285,7 +287,8 @@ def test_history_outlives_a_short_frame_while_a_long_one_is_pending():
 def test_blackout_window_forces_loss():
     eng, med, delivered = make_medium({("a", "b"): 60.0})
     frame = ChannelFrame("a", 37, PHY_1M, 0.0, 0, 11)
-    frame.rssi_cache["b"] = -math.inf     # an RSSI set before airing is used as is
+    frame.rssi_cache = [None] * len(med.table)
+    frame.rssi_cache[med.index["b"]] = -math.inf   # set before airing: used as is
     med.begin_transmission(frame)
     eng.run_until_idle()
     assert delivered == []
@@ -305,104 +308,153 @@ def test_shadowing_draws_are_per_frame_and_reproducible():
     assert len(set(outs[0])) > 1  # redrawn per frame
 
 
+
+
 # --------------------------------------------------------------------------
-# Brute-force oracle: an independent spelling of the reception rules,
-# checked against the medium's live resolution over enumerated
-# micro-instances.
+# Brute-force oracle: an independent spelling of the reception rules in
+# radio.py's docstring, checked against the medium's live resolution, call
+# by call and RSSI by RSSI.
 # --------------------------------------------------------------------------
 
-SENS = -90.0
 CAPTURE = 10.0
+MAX_POWER = 0.0         # every frame's power is at most this; finalize() reads it
 
 
-def oracle(nodes, frames, loss):
-    """frames: list of (tx, channel, power, start, octets); returns {(rx,i): Outcome}."""
-    spans = []
-    for tx, ch, p, s, n in frames:
-        spans.append((s, s + (10 + n) * 8))  # 1M airtime by hand
-    out = {}
-    for i, (tx, ch, p, s, n) in enumerate(frames):
-        s0, e0 = spans[i]
-        for rx in nodes:
-            if rx == tx:
-                continue
-            # continuous scanning in the first interval: channel 37 only
-            if ch != 37:
-                out[(rx, i)] = Outcome.NOT_LISTENING
-                continue
-            busy = any(
-                frames[j][0] == rx and spans[j][0] < e0 and s0 < spans[j][1]
-                for j in range(len(frames))
-            )
-            if busy:
-                out[(rx, i)] = Outcome.NOT_LISTENING
-                continue
-            rssi = p - loss[frozenset((tx, rx))]
-            if rssi < SENS:
-                out[(rx, i)] = Outcome.BELOW_SENSITIVITY
-                continue
-            collided = False
-            for j, (tx2, ch2, p2, s2, n2) in enumerate(frames):
-                if j == i or ch2 != ch:
-                    continue
-                if spans[j][0] < e0 and s0 < spans[j][1]:
-                    if rssi - (p2 - loss[frozenset((tx2, rx))]) < CAPTURE:
-                        collided = True
-                        break
-            out[(rx, i)] = Outcome.COLLISION if collided else Outcome.DELIVERED
-    return out
+class Spec(NamedTuple):
+    """One frame to air; AUX frames use the 2M PHY, all others 1M."""
+
+    tx: str
+    kind: FrameKind
+    channel: int
+    power: float
+    start: int
+    octets: int
+    eligible: frozenset | None = None
+
+    @property
+    def end(self) -> int:
+        if self.kind is FrameKind.AUX:
+            return self.start + (11 + self.octets) * 4     # 2M airtime by hand
+        return self.start + (10 + self.octets) * 8         # 1M airtime by hand
+
+    @property
+    def sensitivity(self) -> float:
+        return -85.0 if self.kind is FrameKind.AUX else -90.0
 
 
-def expected(nodes, frames, loss):
-    """The oracle's (delivered pairs, collided pairs, outcome totals).
+def adv(tx, channel, power, start, octets) -> Spec:
+    return Spec(tx, FrameKind.ADV, channel, power, start, octets)
 
-    The medium gives no outcome to a receiver that 0 dBm cannot bring to
-    sensitivity (no shadowing here), so those pairs stay out of the totals.
+
+def singly(frames, ahead=False):
+    """Each frame registered on its own: at its start, or with ahead at t = 0."""
+    return [(0 if ahead else f.start, (i,)) for i, f in enumerate(frames)]
+
+
+def oracle(nodes, frames, loss, calls, *, sigma=0.0, scan=(CONTINUOUS, CONTINUOUS),
+           seed=5):
+    """What the receivers must see: (callbacks in order, outcome totals).
+
+    nodes are the receivers in registration order; loss maps a frozenset
+    pair to dB.  calls are the registrations (time, frame positions) in the
+    order they are scheduled.  The callbacks are ("rssi", rx, channel,
+    rssi) and ("frame", rx, position, rssi).  Frames resolve at their end,
+    ties in registration order.  Receiver rx draws from its stream
+    "chan:rx", lazily and once per (frame, rx): for each resolved frame, in
+    candidate order, the frame's own RSSI and then each same-channel
+    overlap's in registration order until one fails capture.  Noise is
+    heard at its power, with no draw.
     """
-    outcomes = oracle(nodes, frames, loss)
-    counts = {o: 0 for o in Outcome}
-    for (rx, i), o in outcomes.items():
-        if 0.0 - loss[frozenset((frames[i][0], rx))] >= SENS:
-            counts[o] += 1
-    return ({k for k, o in outcomes.items() if o is Outcome.DELIVERED},
-            {k for k, o in outcomes.items() if o is Outcome.COLLISION},
-            counts)
+    interval, window = scan
+    order = [i for _, group in sorted(calls, key=lambda c: c[0]) for i in group]
+    rank = {i: r for r, i in enumerate(order)}
+    streams = {}                # rx -> its channel stream, made at its first draw
+    counts = dict.fromkeys(Outcome, 0)
+    log, rssi = [], {}
+
+    def candidates(tx):
+        return [rx for rx in nodes if rx != tx
+                and MAX_POWER - loss[frozenset((tx, rx))] >= -90.0 - 6.0 * sigma]
+
+    def heard(j, rx):
+        if (j, rx) not in rssi:
+            g = frames[j]
+            if g.kind is FrameKind.NOISE:
+                rssi[j, rx] = g.power
+            else:
+                if rx not in streams:
+                    streams[rx] = RandomSource(seed).stream(f"chan:{rx}").random
+                u = streams[rx]() or 5e-324
+                rssi[j, rx] = (g.power - loss[frozenset((g.tx, rx))]
+                               + sigma * NormalDist().inv_cdf(u))
+        return rssi[j, rx]
+
+    resolved = []
+    for i in order:
+        f = frames[i]
+        if f.kind is FrameKind.NOISE:
+            continue
+        k = f.start // interval
+        if f.kind is not FrameKind.AUX and (
+                f.channel != 37 + k % 3 or f.end > k * interval + window):
+            counts[Outcome.NOT_LISTENING] += len(candidates(f.tx))
+            continue
+        resolved.append(i)
+    for i in sorted(resolved, key=lambda i: (frames[i].end, rank[i])):
+        f = frames[i]
+        concurrent = [j for j in order if j != i
+                      and frames[j].start < f.end and f.start < frames[j].end]
+        busy = {frames[j].tx for j in concurrent}
+        rivals = [j for j in concurrent if frames[j].channel == f.channel]
+        for rx in candidates(f.tx):
+            if f.kind is FrameKind.AUX and rx not in (f.eligible or ()):
+                continue
+            if rx in busy:
+                counts[Outcome.NOT_LISTENING] += 1
+                continue
+            mine = heard(i, rx)
+            if mine < f.sensitivity:
+                counts[Outcome.BELOW_SENSITIVITY] += 1
+                continue
+            captured = all(mine - heard(j, rx) >= CAPTURE for j in rivals)
+            if f.channel >= 37:
+                log.append(("rssi", rx, f.channel, mine))
+            if captured:
+                log.append(("frame", rx, i, mine))
+                counts[Outcome.DELIVERED] += 1
+            else:
+                counts[Outcome.COLLISION] += 1
+    return log, counts
 
 
-def run_impl(nodes, frames, loss, ahead=False):
-    """Air the frames through a Medium; same summary as expected().
+def run_impl(nodes, frames, loss, calls, *, sigma=0.0, scan=(CONTINUOUS, CONTINUOUS),
+             seed=5):
+    """Air the frames through a Medium; the same summary as oracle().
 
-    Each frame is registered at its start, or, with ahead, all of them at
-    t = 0 in list order, as a node registers a whole advertising event
-    when the event starts.  A pair is delivered when on_frame fires and
-    collided when on_rssi fires without on_frame (the frame cleared
-    sensitivity but lost on capture).
+    Each call registers its frames with one begin_transmission, as a node
+    registers a whole advertising event when the event starts.
     """
     eng = Engine()
-    med = Medium(eng, loss_table(loss), CONTINUOUS, CONTINUOUS,
-                 shadowing_sigma_db=0.0, capture_db=CAPTURE)
-    index = {}                  # ChannelFrame -> its position in `frames`
-    resolving = []              # frames in the order the medium resolves them
-    delivered, heard = set(), set()
-    root = RandomSource(5)
-    for nd in nodes:
-        med.register(nd, root.stream(nd),
-                     lambda f, r, nd=nd: delivered.add((nd, index[f])),
-                     lambda ch, r, nd=nd: heard.add((nd, index[resolving[-1]])))
-    med.finalize(0.0)
-    resolve = med._resolve_all
-
-    def tracked(frame):
-        resolving.append(frame)
-        resolve(frame)
-
-    med._resolve_all = tracked
-    for i, (tx, ch, p, s, n) in enumerate(frames):
-        fr = ChannelFrame(tx, ch, PHY_1M, p, s, n)
-        index[fr] = i
-        eng.schedule(0 if ahead else fr.start, med.begin_transmission, fr)
+    med = Medium(eng, loss_table(loss), *scan, shadowing_sigma_db=sigma,
+                 capture_db=CAPTURE)
+    position = {}               # ChannelFrame -> its position in frames
+    log = []
+    root = RandomSource(seed)
+    for rx in nodes:
+        med.register(rx, root.stream(f"chan:{rx}"),
+                     lambda f, r, rx=rx: log.append(("frame", rx, position[f], r)),
+                     lambda ch, r, rx=rx: log.append(("rssi", rx, ch, r)))
+    med.finalize(MAX_POWER)
+    aired = []
+    for f in frames:
+        fr = ChannelFrame(f.tx, f.channel, PHY_2M if f.kind is FrameKind.AUX else PHY_1M,
+                          f.power, f.start, f.octets, f.kind, None, f.eligible)
+        position[fr] = len(aired)
+        aired.append(fr)
+    for t, group in calls:
+        eng.schedule(t, med.begin_transmission, *[aired[i] for i in group])
     eng.run_until_idle()
-    return delivered, heard - delivered, dict(med.outcome_counts)
+    return log, med.outcome_counts
 
 
 def test_reception_oracle_two_frames():
@@ -418,10 +470,11 @@ def test_reception_oracle_two_frames():
         for tx2 in ("b", "c"):
             for s2 in range(0, 1000, 100):
                 for p1, p2 in itertools.product((0.0, -9.0), repeat=2):
-                    frames = [("a", 37, p1, 0, 11), (tx2, 37, p2, s2, 11)]
-                    want = expected(nodes, frames, loss)
+                    frames = [adv("a", 37, p1, 0, 11), adv(tx2, 37, p2, s2, 11)]
                     for ahead in (False, True):
-                        assert run_impl(nodes, frames, loss, ahead) == want
+                        calls = singly(frames, ahead)
+                        assert (run_impl(nodes, frames, loss, calls)
+                                == oracle(nodes, frames, loss, calls))
                     checked += 1
     assert checked == 64 * 2 * 10 * 4
 
@@ -440,10 +493,105 @@ def test_reception_oracle_three_frames():
         for s2, s3, ch3 in itertools.product((0, 150, 300, 600),
                                              (0, 150, 300, 600), (37, 38)):
             frames = [
-                ("a", 37, 0.0, 0, 11),
-                ("b", 37, -9.0, s2, 11),
-                ("c", ch3, 0.0, s3, 11),
+                adv("a", 37, 0.0, 0, 11),
+                adv("b", 37, -9.0, s2, 11),
+                adv("c", ch3, 0.0, s3, 11),
             ]
-            want = expected(nodes, frames, loss)
             for ahead in (False, True):
-                assert run_impl(nodes, frames, loss, ahead) == want
+                calls = singly(frames, ahead)
+                assert (run_impl(nodes, frames, loss, calls)
+                        == oracle(nodes, frames, loss, calls))
+
+
+# loss values around the sensitivity and capture thresholds at 0, -6 and -12 dBm
+LOSSES = (55.0, 62.0, 68.0, 72.0, 78.0, 84.0, 88.0, 90.0, 96.0, 104.0, 115.0)
+# where the frames start: the first scan window, and just before the
+# 100 ms / 30 ms scanner closes its window or moves to 38 or 39
+ORIGINS = (0, 29_400, 99_400, 199_400)
+
+
+@st.composite
+def medium_cases(draw):
+    """Nodes, loss, frames and registrations for one oracle comparison.
+
+    A node's frames follow each other without overlap, so half duplex
+    holds.  Batched, each node's frames are cut into runs, and a run is
+    registered with one call at its first start; noise is always
+    registered alone, at its start.
+    """
+    nodes = draw(st.permutations([f"n{i}" for i in range(draw(st.integers(2, 8)))]))
+    loss = {frozenset(pair): draw(st.sampled_from(LOSSES))
+            for pair in itertools.combinations(sorted(nodes), 2)}
+    origin = draw(st.sampled_from(ORIGINS))
+    frames, free = [], {}
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(list(FrameKind)))
+        if kind is FrameKind.NOISE:
+            tx, channel = "env", draw(st.sampled_from([37, 38, 0]))
+            power = draw(st.sampled_from([-100.0, -80.0, -65.0]))
+        else:
+            tx = draw(st.sampled_from(nodes))
+            channel = draw(st.sampled_from([0, 1] if kind is FrameKind.AUX
+                                           else list(PRIMARY_CHANNELS)))
+            power = draw(st.sampled_from([0.0, -6.0, -12.0]))
+        if tx in free:
+            start = free[tx] + draw(st.integers(0, 400))
+        else:
+            start = origin + draw(st.integers(0, 1_500))
+        eligible = None
+        if kind is FrameKind.AUX:
+            eligible = draw(st.none() | st.frozensets(st.sampled_from(nodes)))
+        f = Spec(tx, kind, channel, power, start, draw(st.integers(1, 40)), eligible)
+        if tx != "env":
+            free[tx] = f.end
+        frames.append(f)
+    if draw(st.booleans()):
+        calls = [(f.start, (i,)) for i, f in enumerate(frames) if f.tx == "env"]
+        for tx in nodes:
+            own = [i for i, f in enumerate(frames) if f.tx == tx]
+            while own:
+                size = draw(st.integers(1, 4))
+                calls.append((frames[own[0]].start, tuple(own[:size])))
+                own = own[size:]
+    else:
+        calls = singly(frames)
+    return nodes, loss, frames, calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(medium_cases(), st.sampled_from([0.0, 4.0]),
+       st.sampled_from([(CONTINUOUS, CONTINUOUS), (100_000, 30_000)]),
+       st.integers(0, 2**32))
+def test_medium_matches_oracle(case, sigma, scan, seed):
+    nodes, loss, frames, calls = case
+    want = oracle(nodes, frames, loss, calls, sigma=sigma, scan=scan, seed=seed)
+    assert run_impl(nodes, frames, loss, calls, sigma=sigma, scan=scan,
+                    seed=seed) == want
+
+
+def test_on_air_record_keeps_no_ended_frame(monkeypatch):
+    # a's event registers all three frames at t = 0, the last one long
+    # (1136..2816 us); b, c and d then air short frames one at a time.  An
+    # ended frame must leave the record at the next registration wherever
+    # it sits, not wait behind a's last frame
+    horizons = []
+    inner = Medium.begin_transmission
+
+    def checked(med, *frames):
+        inner(med, *frames)
+        horizon = med.engine.now - med._max_airtime_us
+        assert all(f.end >= horizon for f in med._on_air)
+        horizons.append(horizon)
+
+    monkeypatch.setattr(Medium, "begin_transmission", checked)
+    nodes = ("a", "b", "c", "d")
+    loss = {frozenset(pair): 60.0 for pair in itertools.combinations(nodes, 2)}
+    event = [adv("a", 37, 0.0, 0, 11), adv("a", 38, 0.0, 568, 11),
+             adv("a", 39, 0.0, 1136, 200)]
+    shorts = [adv("bcd"[k % 3], 37, 0.0, 100 + 120 * k, 1) for k in range(60)]
+    frames = event + shorts
+    batched = [(0, (0, 1, 2))] + singly(frames)[3:]
+    got = run_impl(nodes, frames, loss, batched, sigma=4.0)
+    assert max(horizons) > frames[2].end      # a's last frame did become prunable
+    assert got == run_impl(nodes, frames, loss, singly(frames), sigma=4.0)
+    assert got == oracle(nodes, frames, loss, batched, sigma=4.0)

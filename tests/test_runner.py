@@ -240,8 +240,8 @@ class FrameLog:
     def register(self, *args):
         pass
 
-    def begin_transmission(self, frame):
-        self.frames.append(frame)
+    def begin_transmission(self, *frames):
+        self.frames.extend(frames)
 
 
 def test_noise_schedule():

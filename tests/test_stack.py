@@ -83,15 +83,18 @@ class World:
         self._blackouts = []
         inner = self.medium.begin_transmission
 
-        def logged(frame):
-            self.frames.append(frame)
-            for start, end, pair in self._blackouts:
-                if start <= frame.start < end:
-                    tx = frame.transmitter
-                    for rx in names:
-                        if rx != tx and (pair is None or pair == (tx, rx)):
-                            frame.rssi_cache[rx] = -math.inf
-            inner(frame)
+        def logged(*frames):
+            self.frames.extend(frames)
+            for frame in frames:
+                for start, end, pair in self._blackouts:
+                    if start <= frame.start < end:
+                        tx = frame.transmitter
+                        if frame.rssi_cache is None:
+                            frame.rssi_cache = [None] * len(names)
+                        for rx in names:
+                            if rx != tx and (pair is None or pair == (tx, rx)):
+                                frame.rssi_cache[index[rx]] = -math.inf
+            inner(*frames)
 
         self.medium.begin_transmission = logged
 
@@ -278,7 +281,9 @@ def test_aux_eligible_only_to_nodes_that_caught_its_indications(monkeypatch):
         got_aux = {rx for rx, f in caught if f is aux}
         assert got_aux <= heard
         # a receiver outside the set is not resolved at all: no RSSI drawn
-        assert set(aux.rssi_cache) <= heard
+        drawn = {rx for rx, j in w.medium.index.items()
+                 if aux.rssi_cache is not None and aux.rssi_cache[j] is not None}
+        assert drawn <= heard
         sets.append(aux.eligible)
     assert len({id(e) for e in sets}) == len(sets)   # a fresh set per event
     first_aux = events[0][3]
