@@ -46,51 +46,25 @@ def _label_hash(label: str) -> int:
     return h
 
 
-def _generator(seed: int) -> random.Random:
-    # random.Random(seed) seeds through the Python-level seed(); the C seed
-    # sets the same whole state directly.  From 3.11 on __new__ leaves the
-    # state unseeded; on 3.10 it seeds from urandom first, which the C seed
-    # then overwrites
-    rng = random.Random.__new__(random.Random)
-    _random.Random.seed(rng, seed)
-    rng.gauss_next = None
-    return rng
-
-
-class RandomSource:
-    """Seeded random stream with deterministic child-stream derivation.
+class RandomSource(random.Random):
+    """A random.Random seeded from 64 bits, with deterministic child streams.
 
     Streams derived with different labels are independent: drawing from one
-    never perturbs another.  draw_uniform consumes exactly one generator
-    step; ``random`` is that step itself.
+    never perturbs another.  masked_seed is the seed, reduced to 64 bits.
     """
 
-    __slots__ = ("seed", "_rng")
-
     def __init__(self, seed: int):
-        self.seed = seed & _MASK64
-        # the same state as random.Random(self.seed), seeded once in C
-        self._rng = _generator(self.seed)
+        # the same state as random.Random(self.masked_seed): that seeds
+        # through the Python-level seed(), the C seed sets the whole state
+        # directly.  From 3.11 on __new__ leaves the state unseeded; on 3.10
+        # it seeds first, and this seed overwrites it
+        self.masked_seed = seed & _MASK64
+        _random.Random.seed(self, self.masked_seed)
+        self.gauss_next = None
 
     def stream(self, label: str) -> "RandomSource":
         """Derive an independent child stream; same (seed, label) -> same stream."""
-        return RandomSource(_splitmix64(self.seed ^ _label_hash(label)))
-
-    @property
-    def random(self):
-        """The bound generator step: each call returns a float in [0, 1)."""
-        return self._rng.random
-
-    def draw_uniform(self, lo: float, hi: float) -> float:
-        if lo > hi:
-            raise ConfigError(f"uniform draw with lo={lo} > hi={hi}")
-        return lo + (hi - lo) * self._rng.random()
-
-    def sample(self, population, k: int) -> list:
-        return self._rng.sample(population, k)
-
-    def randrange(self, n: int) -> int:
-        return self._rng.randrange(n)
+        return RandomSource(_splitmix64(self.masked_seed ^ _label_hash(label)))
 
 
 class Engine:

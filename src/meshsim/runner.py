@@ -86,11 +86,11 @@ def _schedule_interference(engine: Engine, medium: Medium, cfg: ScenarioConfig,
     bursts = []
     t = 0.0
     while True:
-        u = rng.draw_uniform(0.0, 1.0)
+        u = rng.uniform(0.0, 1.0)
         t += -math.log(max(1e-12, 1.0 - u)) * 1e6 / cfg.interference_rate_per_s
         if t >= horizon_us:
             break
-        channel = PRIMARY_CHANNELS[min(2, int(rng.draw_uniform(0, 3)))]
+        channel = PRIMARY_CHANNELS[min(2, int(rng.uniform(0, 3)))]
         start = round(t)
         bursts.append((start, _emit_noise,
                        (medium, channel, cfg.interference_power_dbm, start)))
@@ -130,7 +130,7 @@ def run_experiment(topology: Topology, cfg: ScenarioConfig, seed: int) -> RunRes
     payload = bytes(cfg.message_size_octets)
 
     # a send's fields, in ScheduledSend's order, are its event's arguments
-    def publish(app_msg_id, _time_us, source, dst_node, group, *_):
+    def publish(app_msg_id, _time_us, source, dst_node, group):
         nodes[source].publish(
             addr[dst_node] if dst_node is not None else group, payload,
             app_msg_id)
@@ -143,10 +143,12 @@ def run_experiment(topology: Topology, cfg: ScenarioConfig, seed: int) -> RunRes
         _schedule_interference(engine, medium, cfg,
                                root.stream("interference"), horizon)
 
-    dispatched = engine.run_until_idle(MAX_EVENTS_PER_RUN)
-    if dispatched >= MAX_EVENTS_PER_RUN:
+    # one event past the cap tells a run that drains exactly at it from
+    # one that does not drain
+    dispatched = engine.run_until_idle(MAX_EVENTS_PER_RUN + 1)
+    if dispatched > MAX_EVENTS_PER_RUN:
         raise RuntimeError(
-            f"run hit the {MAX_EVENTS_PER_RUN}-event cap; schedule not draining")
+            f"run passed the {MAX_EVENTS_PER_RUN}-event cap; schedule not draining")
     return RunResult(cfg, seed, tuple(sorted(relays)),
                      tuple(collector.records()), collector.frames_sent,
                      sum(n.relay_drops for n in nodes.values()),

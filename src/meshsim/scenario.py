@@ -59,9 +59,8 @@ def s_to_us(s: float) -> int:
     return round(s * 1_000_000)
 
 
-# slots: with 31 fields an instance dict would sit past CPython 3.11's
-# 29-attribute inline limit, and every cfg.<field> read would take the
-# slower hinted dict lookup
+# slots, as on stack.Node: every cfg.<field> read is a slot load, however
+# many fields the scenario has
 @dataclass(frozen=True, slots=True)
 class ScenarioConfig:
     pattern: str = "many-to-many"
@@ -339,7 +338,7 @@ def scenario_to_document(cfg: ScenarioConfig) -> str:
 class ScheduledSend(NamedTuple):
     """One application message, published by source at time_us.
 
-    A plain tuple underneath: it compares equal to the tuple of its six
+    A plain tuple underneath: it compares equal to the tuple of its five
     fields, in this order.  run_experiment passes a send's fields, in
     this order, as the arguments of the event that publishes it.
     """
@@ -349,7 +348,6 @@ class ScheduledSend(NamedTuple):
     source: str
     dst_node: str | None    # unicast destination
     group: int | None       # group address value
-    size_octets: int
 
 
 def _draw_disjoint_pairs(space: PairSpace, k: int, rng: RandomSource):
@@ -365,7 +363,7 @@ def _draw_disjoint_pairs(space: PairSpace, k: int, rng: RandomSource):
             n = space.free
             if n == 0:
                 break
-            chosen.append(space.take(min(int(rng.draw_uniform(0, n)), n - 1)))
+            chosen.append(space.take(min(int(rng.uniform(0, n)), n - 1)))
         if len(chosen) == k:
             return chosen
     raise ConfigError(
@@ -387,9 +385,9 @@ def build_traffic(topology: Topology, cfg: ScenarioConfig,
     period_us = ms_to_us(cfg.period_ms)
     jitter_us = ms_to_us(cfg.jitter_ms)
     # one offset per iteration, drawn lazily: each just before its
-    # iteration's sender pairs.  An offset is draw_uniform(0, jitter_us),
-    # that is 0 + jitter_us * u (adding 0 is exact), truncated and capped
-    # at jitter_us - 1; spelled inline, as a draw_uniform and a min() call
+    # iteration's sender pairs.  An offset is uniform(0, jitter_us), that
+    # is 0 + jitter_us * u (adding 0 is exact), truncated and capped at
+    # jitter_us - 1; spelled inline, as a uniform and a min() call
     # per iteration made this function about a third slower on room8_group
     draw, last = rng.random, jitter_us - 1
     offsets = (o if (o := int(jitter_us * draw())) <= last else last
@@ -427,11 +425,10 @@ def build_traffic(topology: Topology, cfg: ScenarioConfig,
         routes = [(src, dst, None) for _, pairs in iterations for src, dst in pairs]
 
     # one C-level pass numbers the sends and builds each ScheduledSend:
-    # tuple.__new__ takes its six fields as one tuple, skipping the
+    # tuple.__new__ takes its five fields as one tuple, skipping the
     # Python-level __new__ that checks their count (starmap over
     # ScheduledSend made this function about half again slower on
     # room8_group)
     sources, dst_nodes, groups = zip(*routes)
     return tuple(map(tuple.__new__, repeat(ScheduledSend), zip(
-        count(1), times, sources, dst_nodes, groups,
-        repeat(cfg.message_size_octets))))
+        count(1), times, sources, dst_nodes, groups)))

@@ -203,19 +203,16 @@ class _AdvJob:
 
 class _Publication:
     __slots__ = ("app_msg_id", "dst", "payload", "send_time",
-                 "acked", "retries", "retry_timer", "active_tag", "flagged",
-                 "outstanding")
+                 "retries", "retry_timer", "active_tag", "outstanding")
 
     def __init__(self, app_msg_id, dst, payload, send_time):
         self.app_msg_id = app_msg_id
         self.dst = dst
         self.payload = payload
         self.send_time = send_time
-        self.acked = False
         self.retries = 0
         self.retry_timer = None
         self.active_tag = None
-        self.flagged = False
         self.outstanding = 0   # unsegmented copies queued but not fully aired
 
     def copy_aired(self) -> None:
@@ -255,11 +252,15 @@ class Node:
 
     cfg is the run's scenario, read as it stands; the four times the node
     schedules with are converted to µs once, here.
-
-    Keep a node at 29 instance attributes or fewer: CPython 3.11 stores
-    no more than that inline, and past it every ``self.x`` read on the
-    per-frame path takes the slower dict lookup.
     """
+
+    __slots__ = ("node_id", "address", "cfg", "relay_enabled", "adv_interval_us",
+                 "adv_delay_max_us", "retry_interval_us", "guard_us", "engine",
+                 "medium", "rng", "collector", "directory", "groups",
+                 "subscriptions", "_cache", "_seq", "_tag", "_adv_heap",
+                 "_adv_order", "_in_service", "_wakeup", "_relay_backlog",
+                 "relay_drops", "_pubs", "_tx_attempts", "_rx_bufs", "_rx_done",
+                 "observer")
 
     def __init__(self, node_id, address: int, cfg: ScenarioConfig,
                  relay_enabled: bool, engine: Engine, medium: Medium,
@@ -350,11 +351,8 @@ class Node:
         self._queue_segments(pub.dst, chunks, pub.app_msg_id, tag, events, attempt)
 
     def _retry_fire(self, pub: _Publication) -> None:
-        if pub.acked or pub.flagged:
-            return
         now = self.engine.now
         if now - pub.send_time >= self.guard_us:
-            pub.flagged = True
             del self._pubs[pub.app_msg_id]
             self.collector.flag_guard(pub.app_msg_id)
             return
@@ -385,9 +383,7 @@ class Node:
             self.collector.on_ack(app_msg_id, src, self.engine.now)
             pub = self._pubs.pop(app_msg_id, None)
             if pub is not None:
-                pub.acked = True
-                if pub.retry_timer is not None:
-                    Engine.cancel(pub.retry_timer)
+                Engine.cancel(pub.retry_timer)
 
     # ----------------------------------------------------------------- network
     def _make_pdu(self, dst, payload, app_msg_id, kind="data", seg=None,
@@ -453,8 +449,7 @@ class Node:
         buf.got[idx] = pdu.payload
         buf.idle = 0
         if len(buf.got) == buf.count:
-            if buf.timer is not None:
-                Engine.cancel(buf.timer)
+            Engine.cancel(buf.timer)
             del self._rx_bufs[key]
             self._rx_done.insert(key)
             payload = b"".join(buf.got[i] for i in range(count))
@@ -467,9 +462,7 @@ class Node:
             self._send_block_ack(pdu.src, tag, buf.got.keys(), pdu.app_msg_id)
 
     def _reassembly_timeout(self, key) -> None:
-        buf = self._rx_bufs.get(key)
-        if buf is None:
-            return
+        buf = self._rx_bufs[key]
         buf.idle += 1
         if buf.idle >= REASSEMBLY_IDLE_ROUNDS:
             del self._rx_bufs[key]
@@ -598,7 +591,7 @@ class Node:
         now = self.engine.now
         if job.events_left > 1:
             job.due = (now + self.adv_interval_us
-                       + int(self.rng.draw_uniform(0, self.adv_delay_max_us)))
+                       + int(self.rng.uniform(0, self.adv_delay_max_us)))
         power = self._event_power()
         pdu = job.pdu
         if self.cfg.extended:

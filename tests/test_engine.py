@@ -188,13 +188,21 @@ def test_stream_generator_is_random_random_of_the_masked_seed():
     seeds = [0, 1, _MASK64, _MASK64 + 1, -1, 2 ** 70 + 5]
     seeds += [rng.getrandbits(70) - 2 ** 69 for _ in range(1000 - len(seeds))]
     for s in seeds:
-        assert RandomSource(s)._rng.getstate() == random.Random(s & _MASK64).getstate()
+        source = RandomSource(s)
+        assert isinstance(source, random.Random)
+        assert source.masked_seed == s & _MASK64
+        assert source.getstate() == random.Random(s & _MASK64).getstate()
+        # a derived stream is the Random of its own 64-bit seed
+        child = source.stream("chan:a")
+        assert child.getstate() == random.Random(child.masked_seed).getstate()
+    # every draw is random.Random's own; a stream adds only its derivation
+    assert {k for k in vars(RandomSource) if not k.startswith("__")} == {"stream"}
 
 
 def test_same_seed_same_sequence():
     a = RandomSource(42)
     b = RandomSource(42)
-    assert [a.draw_uniform(0, 1) for _ in range(50)] == [b.draw_uniform(0, 1) for _ in range(50)]
+    assert [a.uniform(0, 1) for _ in range(50)] == [b.uniform(0, 1) for _ in range(50)]
     assert [a.random() for _ in range(50)] == [b.random() for _ in range(50)]
 
 
@@ -202,20 +210,15 @@ def test_streams_are_independent_and_reproducible():
     root = RandomSource(7)
     x = root.stream("node:a")
     y = root.stream("node:b")
-    seq_x = [x.draw_uniform(0, 1) for _ in range(10)]
-    assert seq_x != [y.draw_uniform(0, 1) for _ in range(10)]
+    seq_x = [x.uniform(0, 1) for _ in range(10)]
+    assert seq_x != [y.uniform(0, 1) for _ in range(10)]
     # re-deriving the stream replays it from the start
-    assert [root.stream("node:a").draw_uniform(0, 1) for _ in range(1)][0] == seq_x[0]
+    assert [root.stream("node:a").uniform(0, 1) for _ in range(1)][0] == seq_x[0]
 
 
 def test_degenerate_draws():
     rng = RandomSource(1)
-    assert rng.draw_uniform(5, 5) == 5
-
-
-def test_uniform_rejects_inverted_bounds():
-    with pytest.raises(ConfigError):
-        RandomSource(1).draw_uniform(2, 1)
+    assert rng.uniform(5, 5) == 5
 
 
 @settings(max_examples=200, deadline=None)
@@ -225,5 +228,8 @@ def test_uniform_rejects_inverted_bounds():
     st.floats(min_value=0, max_value=1e3),
 )
 def test_uniform_draws_stay_in_bounds(seed, lo, width):
-    v = RandomSource(seed).draw_uniform(lo, lo + width)
+    # one generator step: lo + (hi - lo) * random()
+    rng, ref = RandomSource(seed), random.Random(seed)
+    v = rng.uniform(lo, lo + width)
+    assert v == lo + (lo + width - lo) * ref.random()
     assert lo <= v <= lo + width

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 from meshsim.engine import Engine, RandomSource
 from meshsim.metrics import DELIVERED
 from meshsim.radio import PHY_1M, ChannelFrame, FrameKind, Medium, airtime_us
+from meshsim.runner import run_experiment
 from meshsim.scenario import ScenarioConfig, ms_to_us
-from meshsim.stack import INTER_CHANNEL_GAP_US, MeshPdu, Node
+from meshsim.stack import GROUP_ADV_EVENTS, INTER_CHANNEL_GAP_US, MeshPdu, Node
+from meshsim.topology import load_topology
 from test_radio import CONTINUOUS, loss_table
 from test_runner import FrameLog
 from test_stack import SCAN_US, World, quiet_params
@@ -75,6 +77,29 @@ def test_capture_against_noise_of_known_power(noise_dbm):
         assert abs(delivered[rx] - n * p) <= z * math.sqrt(n * p * (1 - p)) + 0.5, rx
 
 
+@pytest.mark.parametrize("margin_db", [-4.0, 0.0, 4.0])
+def test_group_link_delivery(margin_db):
+    # one link whose mean RSSI is margin_db over sensitivity, with nothing
+    # else on the air.  The scanner listens on one primary channel through
+    # each whole event, so an event reaches the slave iff the frame on that
+    # channel survives its own shadow draw, with probability
+    # Phi(margin / sigma); a group message has GROUP_ADV_EVENTS events, each
+    # drawn afresh, and no acknowledgment or retry
+    sigma, seeds, iterations = 4.0, (1, 2), 800
+    loss = 0.0 - PHY_1M.sensitivity_dbm - margin_db
+    topology = load_topology(f"meshsim-topology v1\nnode a\nnode b\nloss a b {loss}\n")
+    cfg = ScenarioConfig(pattern="one-to-many", mode="group-acked-fixed",
+                         controller="a", slaves=("b",), iterations=iterations)
+    records = [r for seed in seeds for r in run_experiment(topology, cfg, seed).records]
+    n = len(seeds) * iterations
+    assert len(records) == n
+    delivered = sum(r.status == DELIVERED for r in records)
+    p = 1.0 - (1.0 - NormalDist().cdf(margin_db / sigma)) ** GROUP_ADV_EVENTS
+    z = NormalDist().inv_cdf(0.9995)
+    # the normal approximation's 99.9 % interval, with continuity correction
+    assert abs(delivered - n * p) <= z * math.sqrt(n * p * (1 - p)) + 0.5
+
+
 # --------------------------------------------------------------------------
 # The advertiser, against a reference scheduler written from stack.py's
 # docstring.  Its constants and airtimes are spelled by hand, so a change
@@ -109,7 +134,7 @@ def reference_advertiser(sends, cfg, rng):
         job = min(job for job in jobs if job[0] <= start)
         _, _, seq, octets, left = job
         if left > 1:
-            job[0] = start + interval + int(rng.draw_uniform(0, delay_max))
+            job[0] = start + interval + int(rng.uniform(0, delay_max))
         primary_octets = INDICATION_OCTETS if cfg.extended else octets
         t = start
         for channel in (37, 38, 39):

@@ -110,6 +110,19 @@ def test_event_cap_raises(monkeypatch):
                        bundled("single_hop_group.scn", "iterations=3"), 1)
 
 
+def test_run_that_drains_at_the_event_cap_completes(monkeypatch):
+    topo = load_bundled_topology("office_single_floor_8.topo")
+    cfg = bundled("single_hop_group.scn", "iterations=3")
+    result = run_experiment(topo, cfg, 1)
+    n = result.events_dispatched
+    for cap in (n, n + 1):
+        monkeypatch.setattr(runner, "MAX_EVENTS_PER_RUN", cap)
+        assert run_experiment(topo, cfg, 1) == result
+    monkeypatch.setattr(runner, "MAX_EVENTS_PER_RUN", n - 1)
+    with pytest.raises(RuntimeError, match=f"{n - 1}-event cap"):
+        run_experiment(topo, cfg, 1)
+
+
 def test_transport_state_pruned_after_run(monkeypatch):
     # acked, flagged and abandoned publications and finished segment
     # attempts leave the per-node tables, so they follow the messages in
@@ -133,21 +146,22 @@ def test_transport_state_pruned_after_run(monkeypatch):
     ("office_two_floor_20.topo", "mm3_seg19.scn", ()),
     ("office_single_floor_8.topo", "single_hop_group.scn", ("power_control=on",)),
 ], ids=["mm3_seg19", "single_hop_group+power_control=on"])
-def test_node_stays_within_inline_attribute_budget(monkeypatch, topology,
-                                                   scenario, overrides):
-    # CPython 3.11 stores at most 29 instance attributes inline; past that
-    # every attribute read on a node takes a dict lookup (see Node)
+def test_node_has_no_instance_dict(monkeypatch, topology, scenario, overrides):
+    # a node's fields are slots, so every read of one is a slot load
+    # however many it has; and each slot is set once the node is built
     nodes = []
+    init = runner.Node.__init__
 
-    class RecordedNode(runner.Node):
-        def __init__(self, *args, **kw):
-            super().__init__(*args, **kw)
-            nodes.append(self)
+    def recorded(self, *args, **kw):
+        init(self, *args, **kw)
+        nodes.append(self)
 
-    monkeypatch.setattr(runner, "Node", RecordedNode)
+    monkeypatch.setattr(runner.Node, "__init__", recorded)
     run_experiment(load_bundled_topology(topology),
                    bundled(scenario, "iterations=10", *overrides), 1)
-    assert nodes and max(len(vars(n)) for n in nodes) <= 29
+    assert nodes and all(type(n) is runner.Node for n in nodes)
+    assert not any(hasattr(n, "__dict__") for n in nodes)
+    assert all(hasattr(n, slot) for n in nodes for slot in runner.Node.__slots__)
 
 
 @pytest.mark.parametrize("topology,scenario", [

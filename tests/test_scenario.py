@@ -398,8 +398,8 @@ def test_sends_are_plain_tuples():
     cfg = ScenarioConfig(pattern="one-to-many", mode="group-acked-fixed",
                          controller="x00", slaves=("x01",), iterations=2)
     sends = build_traffic(t, cfg, RandomSource(1).stream("traffic"))
-    assert sends == ((1, 0, "x00", None, GROUP_ADDRESS, 11),
-                     (2, 1_000_000, "x00", None, GROUP_ADDRESS, 11))
+    assert sends == ((1, 0, "x00", None, GROUP_ADDRESS),
+                     (2, 1_000_000, "x00", None, GROUP_ADDRESS))
     assert all(type(s) is ScheduledSend for s in sends)
     assert sends[1]._asdict()["time_us"] == 1_000_000
 
@@ -417,10 +417,10 @@ def test_jitter_past_the_period_reorders_whole_iterations():
     assert times == sorted(times)
     assert [s.dst_node for s in sends] == ["x01", "x02", "x03"] * 30
     assert times[::3] == times[1::3] == times[2::3]
-    # draw_uniform(0, jitter) truncated: the same offsets, in iteration
-    # order, as the sorted starts
+    # uniform(0, jitter) truncated: the same offsets, in iteration order,
+    # as the sorted starts
     rng = RandomSource(4).stream("traffic")
-    assert times[::3] == sorted(10_000 * m + int(rng.draw_uniform(0, 100_000))
+    assert times[::3] == sorted(10_000 * m + int(rng.uniform(0, 100_000))
                                 for m in range(30))
     assert times[::3] != [10_000 * m for m in range(30)]
 
@@ -428,6 +428,7 @@ def test_jitter_past_the_period_reorders_whole_iterations():
 def test_schedules_of_bundled_scenarios_pinned():
     # every bundled scenario at seeds 1-12, also with iterations that
     # overlap, field by field; pinned while each send was a frozen dataclass
+    # that also carried the scenario's message size as its last field
     out = []
     for scn in ("mm3.scn", "mm3_ext50.scn", "mm3_legacy50.scn", "mm3_seg19.scn",
                 "mm7.scn", "otm_group.scn", "otm_unicast.scn",
@@ -440,7 +441,7 @@ def test_schedules_of_bundled_scenarios_pinned():
             cfg = load_scenario(text, ["iterations=20", *overrides])
             for seed in range(1, 13):
                 sends = build_traffic(topo, cfg, RandomSource(seed).stream("traffic"))
-                out.append([tuple(s) for s in sends])
+                out.append([(*s, cfg.message_size_octets) for s in sends])
     assert hashlib.sha256(repr(out).encode()).hexdigest() == \
         "1b8f668ca6caf0516102891c601b34550f03e65901232864b3110f5bdb6d1286"
 
@@ -472,7 +473,7 @@ def filtered_list_draw(eligible, k, rng):
             cand = [p for p in eligible if p[0] not in used and p[1] not in used]
             if not cand:
                 break
-            idx = min(int(rng.draw_uniform(0, len(cand))), len(cand) - 1)
+            idx = min(int(rng.uniform(0, len(cand))), len(cand) - 1)
             chosen.append(cand[idx])
             used.update(cand[idx])
         if len(chosen) == k:
@@ -502,7 +503,7 @@ def test_draw_disjoint_pairs_matches_filtered_list(t, min_hops, k, seed):
         got = draw_or_error(lambda r: _draw_disjoint_pairs(space, k, r), rng)
         assert got == expected
         # the same number of draws was taken
-        assert rng._rng.getstate() == ref_rng._rng.getstate()
+        assert rng.getstate() == ref_rng.getstate()
 
 
 def test_draw_disjoint_pairs_matches_filtered_list_on_bundled_pairs():

@@ -480,31 +480,34 @@ def test_group_flood_terminates_without_loops():
 
 # ------------------------------------------------------- segmented transport
 
-def deliver_spy(node):
+def deliver_spy(monkeypatch, node):
+    """The data payloads node delivers; a node has no instance dict, so the
+    spy wraps the class's method and records only node's calls."""
     seen = []
-    orig = node._access_deliver
+    orig = Node._access_deliver
 
-    def spy(src_value, kind, payload, app_msg_id):
-        if kind == "data":
+    def spy(self, src_value, kind, payload, app_msg_id):
+        if self is node and kind == "data":
             seen.append(payload)
-        orig(src_value, kind, payload, app_msg_id)
+        orig(self, src_value, kind, payload, app_msg_id)
 
-    node._access_deliver = spy
+    monkeypatch.setattr(Node, "_access_deliver", spy)
     return seen
 
 
-def test_segmented_roundtrip_lossless():
+def test_segmented_roundtrip_lossless(monkeypatch):
     w = World(["a", "b"], 60.0)
-    seen = deliver_spy(w.nodes["b"])
+    seen = deliver_spy(monkeypatch, w.nodes["b"])
     sender = w.nodes["a"]
     block_acks = []
-    on_block_ack = sender._on_block_ack
+    on_block_ack = Node._on_block_ack
 
-    def ack_spy(pdu):
-        block_acks.append(pdu.ack_info)
-        on_block_ack(pdu)
+    def ack_spy(self, pdu):
+        if self is sender:
+            block_acks.append(pdu.ack_info)
+        on_block_ack(self, pdu)
 
-    sender._on_block_ack = ack_spy
+    monkeypatch.setattr(Node, "_on_block_ack", ack_spy)
     payload = bytes(range(19))
     w.publish_at(0, "a", w.addr["b"], payload, 1)
     w.engine.run_until_idle()
@@ -541,9 +544,9 @@ def test_twelve_octets_use_segmented_transport(extended, size, segs):
 
 
 @pytest.mark.parametrize("seed", [7, 11, 23])
-def test_lost_segment_recovered_by_block_ack(seed):
+def test_lost_segment_recovered_by_block_ack(monkeypatch, seed):
     w = World(["a", "b"], 60.0, seed=seed)
-    seen = deliver_spy(w.nodes["b"])
+    seen = deliver_spy(monkeypatch, w.nodes["b"])
     # window sized so only segment 0's opening frame survives; every later
     # event of the first pass is gone, and the 200 ms report gets through
     w.blackout(1_000, 150_000, pair=("a", "b"))
@@ -560,20 +563,21 @@ def test_lost_segment_recovered_by_block_ack(seed):
     assert (w.addr["a"], 0) in w.nodes["b"]._rx_done
 
 
-def test_unacked_segments_abandoned_after_timer_rounds(caplog):
+def test_unacked_segments_abandoned_after_timer_rounds(monkeypatch, caplog):
     # the block-ack path is dead, so only the sender's round timer drives
     # the resends; the publication's own retry waits past the guard
     w = World(["a", "b"], 60.0, cfg=quiet_params())
     w.blackout(0, 10 ** 12, pair=("b", "a"))
     sender = w.nodes["a"]
     rounds = []          # (engine time, rounds done) at every timer firing
-    transport_round = sender._transport_round
+    transport_round = Node._transport_round
 
-    def round_spy(tag, attempt):
-        rounds.append((w.engine.now, attempt.rounds))
-        transport_round(tag, attempt)
+    def round_spy(self, tag, attempt):
+        if self is sender:
+            rounds.append((w.engine.now, attempt.rounds))
+        transport_round(self, tag, attempt)
 
-    sender._transport_round = round_spy
+    monkeypatch.setattr(Node, "_transport_round", round_spy)
     caplog.set_level(logging.DEBUG, logger="meshsim.stack")
     w.publish_at(0, "a", w.addr["b"], bytes(19), 1)
     w.engine.run_until_idle()
@@ -609,11 +613,13 @@ def test_partial_buffer_acks_then_expires():
     assert rec.status == LOST
 
 
-def test_finished_reassemblies_age_out_oldest_first():
+def test_finished_reassemblies_age_out_oldest_first(monkeypatch):
     w = World(["a", "b"], 60.0)
     b, src = w.nodes["b"], w.addr["a"]
     delivered = []
-    b._access_deliver = lambda _src, _kind, _payload, msg_id: delivered.append(msg_id)
+    monkeypatch.setattr(Node, "_access_deliver",
+                        lambda _self, _src, _kind, _payload, msg_id:
+                        delivered.append(msg_id))
 
     def finish(tag):
         b._reassemble(MeshPdu(src, w.addr["b"], tag, 7, bytes(12), tag,
