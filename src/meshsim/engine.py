@@ -9,13 +9,12 @@ Events dispatch in (fire_at, insertion counter) order.  schedule() queues
 one event; schedule_many() queues a whole up-front schedule, numbering its
 items in the order given and restoring the heap once, so its events
 dispatch exactly as the same items passed one by one to schedule() would.
-run_until_idle() is the one dispatch loop: it drains the queue, or, given
-until, runs only the events due by then and leaves the clock at until.
+run_until_idle() is the one dispatch loop: it drains the queue, or stops
+after max_events.
 """
 
 import _random
 import heapq
-import math
 import random
 from functools import lru_cache
 # normal_quantile(p, mu, sigma) is the routine NormalDist.inv_cdf calls once
@@ -79,13 +78,12 @@ class Engine:
     writes it, and callers must treat it as read-only.
     """
 
-    __slots__ = ("_heap", "_counter", "now", "dispatched")
+    __slots__ = ("_heap", "_counter", "now")
 
     def __init__(self):
         self._heap: list[list] = []
         self._counter = 0
         self.now = 0
-        self.dispatched = 0
 
     def schedule(self, fire_at: int, action, *args) -> list:
         """Queue action(*args) at fire_at (µs); returns a cancellable handle."""
@@ -129,28 +127,18 @@ class Engine:
         """Mark a scheduled event as cancelled; it will be skipped on dispatch."""
         handle[2] = None
 
-    def run_until_idle(self, max_events: int | None = None, *,
-                       until: int | None = None) -> int:
+    def run_until_idle(self, max_events: int | None = None) -> int:
         """Dispatch events in order; returns the number dispatched.
 
-        Without `until` the queue drains and the clock stops at the last
-        event.  With it, only events due at or before `until` run, those
-        scheduled during dispatch included, and once none is left the
-        clock is at `until`, even if the queue emptied earlier.  At most
-        max_events run when it is given.
+        The queue drains, events scheduled during dispatch included, or at
+        most max_events run when it is given.  The clock stops at the last
+        event dispatched.
         """
-        stop = math.inf if until is None else until
-        if stop < self.now:
-            raise ConfigError(f"cannot run to t={until} µs: clock already at {self.now} µs")
         count = 0
         heap = self._heap
         pop = heapq.heappop
         while heap:
-            entry = pop(heap)
-            fire_at, _, action, args = entry
-            if fire_at > stop:
-                heapq.heappush(heap, entry)
-                break
+            fire_at, _, action, args = pop(heap)
             if action is None:
                 continue
             self.now = fire_at
@@ -158,7 +146,4 @@ class Engine:
             count += 1
             if max_events is not None and count >= max_events:
                 break
-        if until is not None and (not heap or heap[0][0] > until):
-            self.now = until
-        self.dispatched += count
         return count

@@ -15,7 +15,11 @@ decided once per frame, in Medium.begin_transmission: a primary-channel
 frame that no scanner catches whole is not listened to by any candidate and
 gets no resolution event, but stays registered and still interferes.  AUX
 frames skip the scanner rule; membership of frame.eligible replaces it.
-Medium._resolve_all is the one place the other rules are decided.
+Medium._resolve_all is the one place the other rules are decided, the
+extended-advertising one included: an extended event's indications and its
+aux frame share one eligible set, and a receiver that catches an
+indication joins that set instead of getting a delivery callback, so the
+aux frame, resolved after them, reaches only the receivers that caught one.
 
 Shadowing is drawn lazily, once per (frame, receiver), from the receiver's
 own channel stream, and cached on the frame: one generator step u becomes
@@ -93,7 +97,10 @@ class Outcome(Enum):
 
 
 class ChannelFrame:
-    """One on-air frame.  end - start always equals airtime(octets, phy).
+    """One on-air frame, end - start = airtime_us(octets, phy) µs long.
+
+    payload is what a delivery hands on (None for noise).  eligible is
+    the receiver-id set an extended event's frames share, None otherwise.
 
     rssi_cache is None until the medium first needs an RSSI of the frame,
     then a list holding, at a receiver's loss-table position, the dBm that
@@ -102,7 +109,7 @@ class ChannelFrame:
 
     __slots__ = (
         "transmitter", "channel", "phy", "power_dbm", "start", "end",
-        "octets", "kind", "payload", "eligible", "rssi_cache",
+        "kind", "payload", "eligible", "rssi_cache",
     )
 
     def __init__(self, transmitter, channel, phy, power_dbm, start, octets,
@@ -121,20 +128,10 @@ class ChannelFrame:
         self.power_dbm = power_dbm
         self.start = start
         self.end = start + airtime_us(octets, phy)
-        self.octets = octets
         self.kind = kind
         self.payload = payload
-        self.eligible = eligible       # receiver-id set for AUX frames
+        self.eligible = eligible
         self.rssi_cache = None
-
-
-class _Receiver:
-    __slots__ = ("chan_rng", "on_frame", "on_rssi")
-
-    def __init__(self, chan_rng, on_frame, on_rssi):
-        self.chan_rng = chan_rng
-        self.on_frame = on_frame
-        self.on_rssi = on_rssi
 
 
 def _scanner_catches(scan_interval_us: int, scan_window_us: int,
@@ -170,7 +167,7 @@ class Medium:
         self.capture_db = capture_db
         self._scan_interval_us = scan_interval_us
         self._scan_window_us = scan_window_us
-        self._receivers: dict = {}
+        self._receivers: dict = {}      # rx -> (rx, on_frame, on_rssi, rand, j)
         self._on_air: list = []         # ChannelFrames in registration order
         self._tx_end: dict = {}         # registered node -> end of its last frame
         self._candidates: dict = {}
@@ -189,29 +186,29 @@ class Medium:
     def register(self, node_id, chan_rng: RandomSource, on_frame, on_rssi=None) -> None:
         if node_id in self._receivers:
             raise ConfigError(f"duplicate radio registration for {node_id!r}")
-        self._receivers[node_id] = _Receiver(chan_rng, on_frame, on_rssi)
+        self._receivers[node_id] = (node_id, on_frame, on_rssi, chan_rng.random,
+                                    self.index[node_id])
         self._tx_end[node_id] = -math.inf
 
     def finalize(self, max_power_dbm: float) -> None:
         """Precompute each transmitter's candidate receivers.
 
-        Every registered receiver gets one state tuple (rx, receiver, rand,
-        j): receiver is its _Receiver, rand the bound generator step of its
-        channel stream and j its position in the loss table.  A
-        transmitter's candidates are a tuple of references to the states of
-        the receivers, in registration order, whose mean RSSI at
-        max_power_dbm can plausibly clear the lower of the two PHYs'
-        sensitivities (6-sigma slack); the inf loss to itself never does.
+        register() stores every receiver as one tuple (rx, on_frame,
+        on_rssi, rand, j): rand is the bound generator step of its channel
+        stream and j its position in the loss table.  A transmitter's
+        candidates are a tuple of references to the tuples of the
+        receivers, in registration order, whose mean RSSI at max_power_dbm
+        can plausibly clear the lower of the two PHYs' sensitivities
+        (6-sigma slack); the inf loss to itself never does.
         """
-        index, table = self.index, self.table
         floor = min(PHY_1M.sensitivity_dbm, PHY_2M.sensitivity_dbm)
         threshold = floor - 6.0 * self.shadowing_sigma_db
-        state = [(rx, r, r.chan_rng.random, index[rx])
-                 for rx, r in self._receivers.items()]
-        for tx in self._receivers:
-            row = table[index[tx]]
+        table = self.table
+        state = list(self._receivers.values())
+        for tx, _, _, _, j in state:
+            row = table[j]
             self._candidates[tx] = tuple([
-                s for s in state if max_power_dbm - row[s[3]] >= threshold])
+                s for s in state if max_power_dbm - row[s[4]] >= threshold])
 
     def begin_transmission(self, *frames: ChannelFrame) -> None:
         """Register a whole advertising event, its frames in airing order.
@@ -261,14 +258,17 @@ class Medium:
         receiver needs, in order: membership of frame.eligible (AUX frames
         only), no transmission of its own during the frame, RSSI at or above
         the PHY's sensitivity, and a capture margin over every overlapping
-        frame.  One pass over the on-air record finds the transmitters busy
-        during the frame and the same-channel overlaps, each with its cache
-        and its loss row (None for noise, heard at its power).
+        frame.  A receiver that catches an indication joins frame.eligible;
+        any other caught frame goes to its on_frame.  One pass over the
+        on-air record finds the transmitters busy during the frame and the
+        same-channel overlaps, each with its cache and its loss row (None
+        for noise, heard at its power).
         """
         candidates = self._candidates[frame.transmitter]
+        eligible = frame.eligible
         if frame.kind is AUX:
-            pool = frame.eligible or ()
-            candidates = [c for c in candidates if c[0] in pool]
+            candidates = [c for c in candidates if c[0] in eligible]
+        joining = eligible if frame.kind is EXT_IND else None
         index, table = self.index, self.table
         start, end, channel = frame.start, frame.end, frame.channel
         busy = set()
@@ -295,7 +295,7 @@ class Medium:
         # sigma for the standard quantile x: sigma times x to the bit.  It is
         # undefined at sigma 0, where the shadow is 0.0
         n_nl = n_bs = n_col = n_del = 0
-        for rx, receiver, rand, j in candidates:
+        for rx, on_frame, on_rssi, rand, j in candidates:
             if rx in busy:      # half duplex: rx transmitted during the frame
                 n_nl += 1
                 continue
@@ -325,11 +325,14 @@ class Medium:
                 if rssi - other_rssi < capture:
                     captured = False
                     break
-            if primary and receiver.on_rssi is not None:
-                receiver.on_rssi(channel, rssi)
+            if primary and on_rssi is not None:
+                on_rssi(channel, rssi)
             if captured:
                 n_del += 1
-                receiver.on_frame(frame, rssi)
+                if joining is None:
+                    on_frame(frame, rssi)
+                else:
+                    joining.add(rx)
             else:
                 n_col += 1
         self._not_listening += n_nl

@@ -16,7 +16,8 @@ Message path, source to destination:
   legacy advertising event transmits the same PDU on channels 37, 38 and
   39 back to back; in extended mode an event instead sends three short
   indications on the primary channels that point at one auxiliary frame on
-  a randomly chosen secondary channel.  Either way all of the event's
+  a randomly chosen secondary channel, which the medium delivers only to
+  the nodes that caught one of them.  Either way all of the event's
   frames are built and registered on the medium when it starts
   (_start_event), and the radio frees one gap after the last of them.
 * Receivers deduplicate on (src, seq) with a FIFO cache, hand matching
@@ -304,7 +305,7 @@ class Node:
         self.observer = RssiObserver(cfg.power_control_window) \
             if cfg.power_control else None
         medium.register(node_id, chan_rng, self._on_frame,
-                        self._on_rssi if self.observer else None)
+                        self.observer.observe if self.observer else None)
 
     # ------------------------------------------------------------------ access
     def publish(self, dst: int, payload: bytes, app_msg_id: int) -> int:
@@ -580,10 +581,11 @@ class Node:
 
         A legacy event is the PDU on 37, 38 and 39, one gap apart; an
         extended event is three indications laid out the same way, then the
-        PDU on a random secondary channel EXT_AUX_OFFSET_US after them.  The
-        indications carry the event's eligible set, which every node that
-        catches one joins, and the aux frame reaches only that set: the
-        indications resolve before it starts.  The whole event is
+        PDU on a random secondary channel EXT_AUX_OFFSET_US after them.
+        Every frame carries the PDU as its payload.  An extended event's
+        frames share one fresh eligible set, which every node that catches
+        one of its indications joins, and the aux frame reaches only that
+        set: the indications resolve before it starts.  The whole event is
         registered with the medium in one call and counted with the
         collector in one call, both now and in frame order, and the event
         ends one gap after its last frame.
@@ -595,21 +597,22 @@ class Node:
         power = self._event_power()
         pdu = job.pdu
         if self.cfg.extended:
-            kind, octets, payload = EXT_IND, EXT_INDICATION_OCTETS, set()
+            kind, octets, eligible = EXT_IND, EXT_INDICATION_OCTETS, set()
         else:
-            kind, octets, payload = ADV, pdu.octets, pdu
+            kind, octets, eligible = ADV, pdu.octets, None
         node_id = self.node_id
         gap = INTER_CHANNEL_GAP_US
-        f37 = ChannelFrame(node_id, 37, PHY_1M, power, now, octets, kind, payload)
+        f37 = ChannelFrame(node_id, 37, PHY_1M, power, now, octets, kind, pdu,
+                           eligible)
         f38 = ChannelFrame(node_id, 38, PHY_1M, power, f37.end + gap, octets,
-                           kind, payload)
+                           kind, pdu, eligible)
         f39 = ChannelFrame(node_id, 39, PHY_1M, power, f38.end + gap, octets,
-                           kind, payload)
+                           kind, pdu, eligible)
         frames = (f37, f38, f39)
         if kind is EXT_IND:
             frames += (ChannelFrame(node_id, self.rng.randrange(37), PHY_2M, power,
                                     f39.end + EXT_AUX_OFFSET_US, pdu.octets, AUX,
-                                    pdu, payload),)
+                                    pdu, eligible),)
         self.medium.begin_transmission(*frames)
         self.collector.on_frame(pdu.app_msg_id, power, len(frames))
         self.engine.schedule(frames[-1].end + gap, self._finish_event, job)
@@ -631,10 +634,4 @@ class Node:
 
     # ------------------------------------------------------------------- radio
     def _on_frame(self, frame: ChannelFrame, rssi: float) -> None:
-        if frame.kind is EXT_IND:
-            frame.payload.add(self.node_id)
-            return
         self.receive_network_pdu(frame.payload)
-
-    def _on_rssi(self, channel: int, rssi: float) -> None:
-        self.observer.observe(channel, rssi)

@@ -14,28 +14,16 @@ def test_schedule_at_now_is_accepted():
     eng = Engine()
     fired = []
     eng.schedule(0, fired.append, "a")
-    assert eng.run_until_idle(until=0) == 1
+    assert eng.run_until_idle() == 1
     assert fired == ["a"]
 
 
 def test_schedule_in_past_rejected():
     eng = Engine()
-    eng.run_until_idle(until=100)
+    eng.schedule(100, lambda: None)
+    eng.run_until_idle()
     with pytest.raises(ConfigError):
         eng.schedule(99, lambda: None)
-
-
-def test_run_backwards_rejected():
-    eng = Engine()
-    eng.run_until_idle(until=100)
-    with pytest.raises(ConfigError):
-        eng.run_until_idle(until=50)
-
-
-def test_empty_queue_advances_clock():
-    eng = Engine()
-    assert eng.run_until_idle(until=1000) == 0
-    assert eng.now == 1000
 
 
 def test_fire_order_and_tie_break():
@@ -44,7 +32,7 @@ def test_fire_order_and_tie_break():
     eng.schedule(20, order.append, "first-at-20")
     eng.schedule(10, order.append, "at-10")
     eng.schedule(20, order.append, "second-at-20")
-    eng.run_until_idle(until=100)
+    eng.run_until_idle()
     assert order == ["at-10", "first-at-20", "second-at-20"]
 
 
@@ -60,7 +48,7 @@ def test_reentrant_scheduling_dispatches_in_same_run():
         seen.append(("inner", eng.now))
 
     eng.schedule(10, outer)
-    n = eng.run_until_idle(until=100)
+    n = eng.run_until_idle()
     assert n == 2
     assert seen == [("outer", 10), ("inner", 15)]
 
@@ -71,7 +59,7 @@ def test_cancelled_event_not_dispatched_or_counted():
     h = eng.schedule(10, fired.append, "x")
     eng.schedule(10, fired.append, "y")
     Engine.cancel(h)
-    assert eng.run_until_idle(until=20) == 1
+    assert eng.run_until_idle() == 1
     assert fired == ["y"]
 
 
@@ -83,36 +71,17 @@ def test_run_until_idle_stops_clock_at_last_event():
     assert eng.now == 340
 
 
-def test_run_until_bound_keeps_later_events_queued():
-    eng = Engine()
-    fired = []
-
-    def at_bound():
-        fired.append("at-50")
-        eng.schedule(50, fired.append, "added-at-50")
-        eng.schedule(51, fired.append, "added-at-51")
-
-    eng.schedule(50, at_bound)
-    eng.schedule(60, fired.append, "at-60")
-    assert eng.run_until_idle(until=50) == 2
-    assert fired == ["at-50", "added-at-50"]
-    assert eng.now == 50
-    # the events past the bound stay queued, in order, for the next call
-    assert eng.run_until_idle() == 2
-    assert fired[2:] == ["added-at-51", "at-60"]
-    assert eng.now == 60
-    assert eng.dispatched == 4
-
-
 def test_run_until_with_event_cap_leaves_clock_at_last_event():
     eng = Engine()
+    fired = []
     for t in (10, 20, 30):
-        eng.schedule(t, lambda: None)
-    assert eng.run_until_idle(1, until=100) == 1
-    # an event due before the bound is still queued, so the clock stays
+        eng.schedule(t, fired.append, t)
+    assert eng.run_until_idle(1) == 1
     assert eng.now == 10
-    assert eng.run_until_idle(until=100) == 2
-    assert eng.now == 100
+    # the events past the cap stay queued, in order, for the next call
+    assert eng.run_until_idle() == 2
+    assert fired == [10, 20, 30]
+    assert eng.now == 30
 
 
 @settings(max_examples=100, deadline=None)
@@ -122,7 +91,7 @@ def test_every_noncancelled_event_dispatches_exactly_once(times):
     hits = []
     for i, t in enumerate(times):
         eng.schedule(t, hits.append, (t, i))
-    eng.run_until_idle(until=10_000)
+    eng.run_until_idle()
     assert len(hits) == len(times)
     # (fire_at, insertion order) is exactly the sort the kernel promises
     assert hits == sorted(hits)
@@ -166,7 +135,8 @@ def test_schedule_many_dispatches_as_per_item_schedule(early, bulk, late):
        st.integers(min_value=0, max_value=99))
 def test_schedule_many_past_item_queues_nothing(before, after, past):
     eng = Engine()
-    eng.run_until_idle(until=100)
+    eng.schedule(100, lambda: None)
+    eng.run_until_idle()
     fired = []
     items = [(t, fired.append, (t,)) for t in [*before, past, *after]]
     with pytest.raises(ConfigError):

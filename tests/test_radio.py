@@ -134,8 +134,12 @@ def test_candidates_match_per_pair_prune(data):
     med = Medium(Engine(), (index, table), CONTINUOUS, CONTINUOUS,
                  shadowing_sigma_db=4.0)
     root = RandomSource(1)
+    streams, callbacks = {}, {}
     for n in names:
-        med.register(n, root.stream(n), lambda f, r: None)
+        streams[n] = root.stream(n)
+        # a without an RSSI callback, as a node without power control
+        callbacks[n] = (lambda f, r: None, None if n == "a" else lambda ch, r: None)
+        med.register(n, streams[n], *callbacks[n])
     med.finalize(power)
     floor = min(PHY_1M.sensitivity_dbm, PHY_2M.sensitivity_dbm)
     state = {}      # rx -> the one state tuple every candidate list shares
@@ -143,10 +147,11 @@ def test_candidates_match_per_pair_prune(data):
         expected = [rx for rx in names if rx != tx
                     and power - losses[tuple(sorted((tx, rx)))] >= floor - 6.0 * 4.0]
         got = med._candidates[tx]
-        assert [rx for rx, _, _, _ in got] == expected
+        assert [c[0] for c in got] == expected
         for c in got:
-            rx, receiver, rand, j = c
-            assert receiver is med._receivers[rx]
+            rx, on_frame, on_rssi, rand, j = c
+            assert (on_frame, on_rssi) == callbacks[rx]
+            assert rand == streams[rx].random
             assert j == index[rx]
             assert table[index[tx]][j] == losses[tuple(sorted((tx, rx)))]
             assert state.setdefault(rx, c) is c
@@ -321,7 +326,11 @@ MAX_POWER = 0.0         # every frame's power is at most this; finalize() reads 
 
 
 class Spec(NamedTuple):
-    """One frame to air; AUX frames use the 2M PHY, all others 1M."""
+    """One frame to air; AUX frames use the 2M PHY, all others 1M.
+
+    eligible is, for an EXT_IND or AUX frame, the position of its event's
+    eligible set in the case's list of sets, and None for other frames.
+    """
 
     tx: str
     kind: FrameKind
@@ -329,7 +338,7 @@ class Spec(NamedTuple):
     power: float
     start: int
     octets: int
-    eligible: frozenset | None = None
+    eligible: int | None = None
 
     @property
     def end(self) -> int:
@@ -351,15 +360,19 @@ def singly(frames, ahead=False):
     return [(0 if ahead else f.start, (i,)) for i, f in enumerate(frames)]
 
 
-def oracle(nodes, frames, loss, calls, *, sigma=0.0, scan=(CONTINUOUS, CONTINUOUS),
-           seed=5):
-    """What the receivers must see: (callbacks in order, outcome totals).
+def oracle(nodes, frames, loss, calls, sets=(), *, sigma=0.0,
+           scan=(CONTINUOUS, CONTINUOUS), seed=5):
+    """What the receivers must see: (callbacks in order, outcome totals,
+    final eligible sets).
 
     nodes are the receivers in registration order; loss maps a frozenset
     pair to dB.  calls are the registrations (time, frame positions) in the
-    order they are scheduled.  The callbacks are ("rssi", rx, channel,
-    rssi) and ("frame", rx, position, rssi).  Frames resolve at their end,
-    ties in registration order.  Receiver rx draws from its stream
+    order they are scheduled.  sets holds each eligible set's starting
+    members.  The callbacks are ("rssi", rx, channel, rssi) and ("frame",
+    rx, position, rssi).  Frames resolve at their end, ties in
+    registration order.  A caught indication adds rx to its set and makes
+    no "frame" callback; an AUX frame reaches only the members of its set
+    as it stands when the frame resolves.  Receiver rx draws from its stream
     "chan:rx", lazily and once per (frame, rx): for each resolved frame, in
     candidate order, the frame's own RSSI and then each same-channel
     overlap's in registration order until one fails capture.  Noise is
@@ -371,6 +384,7 @@ def oracle(nodes, frames, loss, calls, *, sigma=0.0, scan=(CONTINUOUS, CONTINUOU
     streams = {}                # rx -> its channel stream, made at its first draw
     counts = dict.fromkeys(Outcome, 0)
     log, rssi = [], {}
+    members = [set(s) for s in sets]
 
     def candidates(tx):
         return [rx for rx in nodes if rx != tx
@@ -407,7 +421,7 @@ def oracle(nodes, frames, loss, calls, *, sigma=0.0, scan=(CONTINUOUS, CONTINUOU
         busy = {frames[j].tx for j in concurrent}
         rivals = [j for j in concurrent if frames[j].channel == f.channel]
         for rx in candidates(f.tx):
-            if f.kind is FrameKind.AUX and rx not in (f.eligible or ()):
+            if f.kind is FrameKind.AUX and rx not in members[f.eligible]:
                 continue
             if rx in busy:
                 counts[Outcome.NOT_LISTENING] += 1
@@ -419,16 +433,19 @@ def oracle(nodes, frames, loss, calls, *, sigma=0.0, scan=(CONTINUOUS, CONTINUOU
             captured = all(mine - heard(j, rx) >= CAPTURE for j in rivals)
             if f.channel >= 37:
                 log.append(("rssi", rx, f.channel, mine))
-            if captured:
-                log.append(("frame", rx, i, mine))
-                counts[Outcome.DELIVERED] += 1
-            else:
+            if not captured:
                 counts[Outcome.COLLISION] += 1
-    return log, counts
+                continue
+            counts[Outcome.DELIVERED] += 1
+            if f.kind is FrameKind.EXT_IND:
+                members[f.eligible].add(rx)
+            else:
+                log.append(("frame", rx, i, mine))
+    return log, counts, members
 
 
-def run_impl(nodes, frames, loss, calls, *, sigma=0.0, scan=(CONTINUOUS, CONTINUOUS),
-             seed=5):
+def run_impl(nodes, frames, loss, calls, sets=(), *, sigma=0.0,
+             scan=(CONTINUOUS, CONTINUOUS), seed=5):
     """Air the frames through a Medium; the same summary as oracle().
 
     Each call registers its frames with one begin_transmission, as a node
@@ -445,16 +462,18 @@ def run_impl(nodes, frames, loss, calls, *, sigma=0.0, scan=(CONTINUOUS, CONTINU
                      lambda f, r, rx=rx: log.append(("frame", rx, position[f], r)),
                      lambda ch, r, rx=rx: log.append(("rssi", rx, ch, r)))
     med.finalize(MAX_POWER)
+    members = [set(s) for s in sets]
     aired = []
     for f in frames:
         fr = ChannelFrame(f.tx, f.channel, PHY_2M if f.kind is FrameKind.AUX else PHY_1M,
-                          f.power, f.start, f.octets, f.kind, None, f.eligible)
+                          f.power, f.start, f.octets, f.kind, None,
+                          None if f.eligible is None else members[f.eligible])
         position[fr] = len(aired)
         aired.append(fr)
     for t, group in calls:
         eng.schedule(t, med.begin_transmission, *[aired[i] for i in group])
     eng.run_until_idle()
-    return log, med.outcome_counts
+    return log, med.outcome_counts, members
 
 
 def test_reception_oracle_two_frames():
@@ -503,6 +522,29 @@ def test_reception_oracle_three_frames():
                         == oracle(nodes, frames, loss, calls))
 
 
+def test_reception_oracle_indication_then_aux():
+    nodes = ("a", "b", "c")
+    loss_values = (60.0, 70.0, 72.0, 95.0)
+    for la, lb, lc in itertools.product(loss_values, repeat=3):
+        loss = {
+            frozenset(("a", "b")): la,
+            frozenset(("a", "c")): lb,
+            frozenset(("b", "c")): lc,
+        }
+        # a's indication meets a legacy frame from b or c: its transmitter
+        # is busy, and the third node may lose the indication to it.  Only
+        # a receiver that caught the indication joins, and the aux, long
+        # after both, reaches the set as it then stands
+        for tx2, s2, p2 in itertools.product(("b", "c"), (0, 100, 300), (0.0, -9.0)):
+            frames = [Spec("a", FrameKind.EXT_IND, 37, 0.0, 0, 10, 0),
+                      adv(tx2, 37, p2, s2, 11),
+                      Spec("a", FrameKind.AUX, 1, 0.0, 1_000, 20, 0)]
+            for start in (frozenset(), frozenset({"c"})):
+                calls = singly(frames)
+                assert (run_impl(nodes, frames, loss, calls, [start])
+                        == oracle(nodes, frames, loss, calls, [start]))
+
+
 # loss values around the sensitivity and capture thresholds at 0, -6 and -12 dBm
 LOSSES = (55.0, 62.0, 68.0, 72.0, 78.0, 84.0, 88.0, 90.0, 96.0, 104.0, 115.0)
 # where the frames start: the first scan window, and just before the
@@ -512,18 +554,21 @@ ORIGINS = (0, 29_400, 99_400, 199_400)
 
 @st.composite
 def medium_cases(draw):
-    """Nodes, loss, frames and registrations for one oracle comparison.
+    """Nodes, loss, frames, registrations and eligible sets for one
+    oracle comparison.
 
     A node's frames follow each other without overlap, so half duplex
-    holds.  Batched, each node's frames are cut into runs, and a run is
-    registered with one call at its first start; noise is always
+    holds.  Each node that airs an EXT_IND or AUX frame has two event sets,
+    each starting from a drawn set of members, and each such frame shares
+    one of them.  Batched, each node's frames are cut into runs, and a run
+    is registered with one call at its first start; noise is always
     registered alone, at its start.
     """
     nodes = draw(st.permutations([f"n{i}" for i in range(draw(st.integers(2, 8)))]))
     loss = {frozenset(pair): draw(st.sampled_from(LOSSES))
             for pair in itertools.combinations(sorted(nodes), 2)}
     origin = draw(st.sampled_from(ORIGINS))
-    frames, free = [], {}
+    frames, free, sets, own = [], {}, [], {}
     for _ in range(draw(st.integers(1, 12))):
         kind = draw(st.sampled_from(list(FrameKind)))
         if kind is FrameKind.NOISE:
@@ -539,8 +584,11 @@ def medium_cases(draw):
         else:
             start = origin + draw(st.integers(0, 1_500))
         eligible = None
-        if kind is FrameKind.AUX:
-            eligible = draw(st.none() | st.frozensets(st.sampled_from(nodes)))
+        if kind in (FrameKind.EXT_IND, FrameKind.AUX):
+            if tx not in own:
+                own[tx] = len(sets)
+                sets += [draw(st.frozensets(st.sampled_from(nodes))) for _ in range(2)]
+            eligible = own[tx] + draw(st.integers(0, 1))
         f = Spec(tx, kind, channel, power, start, draw(st.integers(1, 40)), eligible)
         if tx != "env":
             free[tx] = f.end
@@ -555,7 +603,7 @@ def medium_cases(draw):
                 own = own[size:]
     else:
         calls = singly(frames)
-    return nodes, loss, frames, calls
+    return nodes, loss, frames, calls, sets
 
 
 @settings(max_examples=200, deadline=None)
@@ -563,9 +611,9 @@ def medium_cases(draw):
        st.sampled_from([(CONTINUOUS, CONTINUOUS), (100_000, 30_000)]),
        st.integers(0, 2**32))
 def test_medium_matches_oracle(case, sigma, scan, seed):
-    nodes, loss, frames, calls = case
-    want = oracle(nodes, frames, loss, calls, sigma=sigma, scan=scan, seed=seed)
-    assert run_impl(nodes, frames, loss, calls, sigma=sigma, scan=scan,
+    nodes, loss, frames, calls, sets = case
+    want = oracle(nodes, frames, loss, calls, sets, sigma=sigma, scan=scan, seed=seed)
+    assert run_impl(nodes, frames, loss, calls, sets, sigma=sigma, scan=scan,
                     seed=seed) == want
 
 

@@ -206,7 +206,8 @@ def test_network_cache_fifo_eviction():
 # -------------------------------------------------------- advertising cadence
 
 def quiet_params(**kw):
-    # far retry horizon so only the initial copy is on the air
+    # far retry horizon so only the initial copy is on the air: the one
+    # retry falls past the guard and sends nothing, so a run drains
     kw.setdefault("retry_interval_ms", 10 ** 6)
     return node_config(**kw)
 
@@ -214,7 +215,7 @@ def quiet_params(**kw):
 def test_adv_event_cadence():
     w = World(["a", "b"], 300.0, cfg=quiet_params())
     w.publish_at(0, "a", w.addr["b"], b"x" * 11, 1)
-    w.engine.run_until_idle(until=150_000)
+    w.engine.run_until_idle()
     frames = w.sent_by("a")
     assert len(frames) == 9
     assert [f.channel for f in frames] == [37, 38, 39] * 3
@@ -239,7 +240,7 @@ def test_legacy_event_structure():
     # mid-way through the first event the floor drops: raw 0 + 80 - 70
     # clamps to 0 dBm, from the next event on
     w.engine.schedule(300, observer.observe, 37, -80.0)
-    w.engine.run_until_idle(until=300_000)
+    w.engine.run_until_idle()
     frames = w.sent_by("a")
     assert len(frames) == 18
     events = [frames[i:i + 3] for i in range(0, 18, 3)]
@@ -256,18 +257,27 @@ def test_legacy_event_structure():
 
 def test_aux_eligible_only_to_nodes_that_caught_its_indications(monkeypatch):
     caught = []         # (receiver, frame) for every frame handed to a node
-    inner = Node._on_frame
+    at_resolution = {}  # aux frame -> its eligible set as the aux resolved
+    on_frame, resolve = Node._on_frame, Medium._resolve_all
 
     def logged(self, frame, rssi):
         caught.append((self.node_id, frame))
-        inner(self, frame, rssi)
+        on_frame(self, frame, rssi)
+
+    def resolving(med, frame):
+        if frame.kind is FrameKind.AUX:
+            at_resolution[frame] = set(frame.eligible)
+        resolve(med, frame)
 
     monkeypatch.setattr(Node, "_on_frame", logged)
+    monkeypatch.setattr(Medium, "_resolve_all", resolving)
     w = World(["a", "b", "c"], 60.0, cfg=node_config(extended=True))
     # c misses only the first event's indications
     w.blackout(0, 2_280, pair=("a", "c"))
     w.publish_at(0, "a", w.addr["b"], bytes(50), 1)
     w.engine.run_until_idle()
+    # a caught indication joins its set in the medium; none reaches a node
+    assert caught and all(f.kind is not FrameKind.EXT_IND for _, f in caught)
     sent = w.sent_by("a")
     events = [sent[i:i + 4] for i in range(0, len(sent), 4)]
     assert len(events) >= 3
@@ -275,15 +285,16 @@ def test_aux_eligible_only_to_nodes_that_caught_its_indications(monkeypatch):
     for *inds, aux in events:
         assert [f.kind for f in inds] == [FrameKind.EXT_IND] * 3
         assert aux.kind is FrameKind.AUX
-        assert all(f.payload is aux.eligible for f in inds)
-        heard = {rx for rx, f in caught if any(f is i for i in inds)}
-        assert aux.eligible == heard
+        assert all(f.payload is aux.payload and f.eligible is aux.eligible
+                   for f in inds)
+        # the indications resolve before the aux, and nothing joins after it
+        assert at_resolution[aux] == aux.eligible
         got_aux = {rx for rx, f in caught if f is aux}
-        assert got_aux <= heard
+        assert got_aux <= aux.eligible
         # a receiver outside the set is not resolved at all: no RSSI drawn
         drawn = {rx for rx, j in w.medium.index.items()
                  if aux.rssi_cache is not None and aux.rssi_cache[j] is not None}
-        assert drawn <= heard
+        assert drawn <= aux.eligible
         sets.append(aux.eligible)
     assert len({id(e) for e in sets}) == len(sets)   # a fresh set per event
     first_aux = events[0][3]
@@ -296,7 +307,7 @@ def test_adv_queue_interleaves_pdus():
     w = World(["a", "b"], 300.0, cfg=quiet_params())
     w.publish_at(0, "a", w.addr["b"], b"m1", 1)
     w.publish_at(0, "a", w.addr["b"], b"m2", 2)
-    w.engine.run_until_idle(until=300_000)
+    w.engine.run_until_idle()
     frames = w.sent_by("a")
     assert len(frames) == 18
     ids = [f.payload.app_msg_id for f in frames]
