@@ -2,7 +2,8 @@
 
 The medium is time-sliced by the event kernel, never threaded.  A frame is
 registered at or before its start (a node registers all the frames of an
-advertising event in one call when the event starts) and resolved for every
+advertising event in one begin_transmission call when the event starts, and
+one call is always one event of one transmitter) and resolved for every
 candidate receiver in a single event at the frame's end.  Reception requires, in
 order: the receiver's scanner tuned to the frame's channel for the whole
 frame, no transmission of its own during the frame, received power at or
@@ -42,6 +43,11 @@ frame that ended more than that airtime before now can overlap neither it
 nor any later frame, and each registration drops every such frame, wherever
 it sits in the list: a frame registered early with a late end (an event's
 last frame) holds back none registered after it.
+
+The stack builds its frames with the ChannelFrame constructor, which
+checks nothing; every other frame is built with ChannelFrame.checked, which
+checks the channel against the kind and the octets.  The medium re-checks
+neither.
 
 Wire-format headers of the mesh stack are folded into the per-PHY frame
 overhead, so a frame's pdu_octets is just its payload size.
@@ -97,10 +103,16 @@ class Outcome(Enum):
 
 
 class ChannelFrame:
-    """One on-air frame, end - start = airtime_us(octets, phy) µs long.
+    """One on-air frame, from start to end µs.
 
     payload is what a delivery hands on (None for noise).  eligible is
     the receiver-id set an extended event's frames share, None otherwise.
+
+    The constructor checks nothing and takes the end as given: it is the
+    stack's path, whose channels are 37, 38, 39 and randrange(37) and whose
+    airtime it computes once per event.  Every other frame is built with
+    ChannelFrame.checked, the one place the channel is checked against the
+    kind and the end is start + airtime_us(octets, phy).
 
     rssi_cache is None until the medium first needs an RSSI of the frame,
     then a list holding, at a receiver's loss-table position, the dBm that
@@ -112,8 +124,23 @@ class ChannelFrame:
         "kind", "payload", "eligible", "rssi_cache",
     )
 
-    def __init__(self, transmitter, channel, phy, power_dbm, start, octets,
-                 kind=ADV, payload=None, eligible=None):
+    def __init__(self, transmitter, channel, phy, power_dbm, start, end,
+                 kind, payload, eligible):
+        self.transmitter = transmitter
+        self.channel = channel
+        self.phy = phy
+        self.power_dbm = power_dbm
+        self.start = start
+        self.end = end
+        self.kind = kind
+        self.payload = payload
+        self.eligible = eligible
+        self.rssi_cache = None
+
+    @classmethod
+    def checked(cls, transmitter, channel, phy, power_dbm, start, octets,
+                kind=ADV, payload=None, eligible=None) -> "ChannelFrame":
+        """The frame of octets starting at start, its channel checked against its kind."""
         if kind is ADV or kind is EXT_IND:
             if channel not in PRIMARY_CHANNELS:
                 raise ConfigError(f"{kind.value} frame on channel {channel}: primary channels only")
@@ -122,16 +149,8 @@ class ChannelFrame:
                 raise ConfigError(f"aux frame on channel {channel}: secondary channels only")
         elif channel not in ALL_CHANNELS:
             raise ConfigError(f"frame on unknown channel {channel}")
-        self.transmitter = transmitter
-        self.channel = channel
-        self.phy = phy
-        self.power_dbm = power_dbm
-        self.start = start
-        self.end = start + airtime_us(octets, phy)
-        self.kind = kind
-        self.payload = payload
-        self.eligible = eligible
-        self.rssi_cache = None
+        return cls(transmitter, channel, phy, power_dbm, start,
+                   start + airtime_us(octets, phy), kind, payload, eligible)
 
 
 def _scanner_catches(scan_interval_us: int, scan_window_us: int,
@@ -211,44 +230,58 @@ class Medium:
                 s for s in state if max_power_dbm - row[s[4]] >= threshold])
 
     def begin_transmission(self, *frames: ChannelFrame) -> None:
-        """Register a whole advertising event, its frames in airing order.
+        """Register one advertising event, its frames in airing order.
 
-        This is the one way onto the air: a node passes all of an event's
-        frames when the event starts, at or before each frame's own start,
-        and a noise burst comes as one frame.  Overlap is decided from
-        start and end alone, so a frame interferes and keeps its
-        transmitter busy only while it is on the air.  The on-air record
-        is pruned once, then each frame in turn is checked for half duplex
-        and recorded.  A primary-channel frame that the scan config cannot
-        catch whole is counted as not listening here, with no resolution
-        event; it stays recorded, so it still interferes.  Every other
-        frame but noise gets one resolution event at its end.
+        This is the one way onto the air, and one call is one event: a
+        node passes all of an event's frames when the event starts, at or
+        before each frame's own start, and a noise burst comes as one
+        frame.  The transmitter, its last end and its candidates are
+        looked up once per call, so frames of two transmitters raise, as
+        does any frame that starts before the previous one of its
+        transmitter ends (half duplex).  Overlap is decided from start
+        and end alone, so a frame interferes and keeps its transmitter
+        busy only while it is on the air.  The on-air record is pruned
+        once and the frames appended.  A primary-channel frame that the
+        scan config cannot catch whole is counted as not listening at
+        every candidate, with no resolution event; it stays recorded, so
+        it still interferes.  Every other frame but noise gets one
+        resolution event at its end.  Frames are taken as built: their
+        channels and airtimes were checked, if at all, by their builder.
         """
         engine = self.engine
-        tx_end = self._tx_end
         interval, window = self._scan_interval_us, self._scan_window_us
+        tx = frames[0].transmitter
+        last_end = self._tx_end.get(tx)   # None for a virtual interferer
         # the frames this call adds start at or after now, so the horizon
         # of the frames registered before it is the one that matters
-        horizon = engine.now - self._max_airtime_us
-        on_air = [o for o in self._on_air if o.end >= horizon]
+        max_airtime = self._max_airtime_us
+        horizon = engine.now - max_airtime
+        uncaught = 0
         for frame in frames:
-            airtime = frame.end - frame.start
-            if airtime > self._max_airtime_us:
-                self._max_airtime_us = airtime
-            last_end = tx_end.get(frame.transmitter)
-            if last_end is not None:  # virtual interferers are not registered nodes
-                if frame.start < last_end:
-                    raise AssertionError(
-                        f"node {frame.transmitter!r} already transmitting at t={frame.start}")
-                tx_end[frame.transmitter] = frame.end
-            on_air.append(frame)
+            if frame.transmitter != tx:
+                raise AssertionError(
+                    f"frames of {tx!r} and {frame.transmitter!r} registered as one event")
+            start, end = frame.start, frame.end
+            if end - start > max_airtime:
+                max_airtime = end - start
+            if last_end is not None:
+                if start < last_end:
+                    raise AssertionError(f"node {tx!r} already transmitting at t={start}")
+                last_end = end
             kind = frame.kind
             if kind is NOISE:
                 continue
-            if kind is not AUX and not _scanner_catches(interval, window, frame):
-                self._not_listening += len(self._candidates[frame.transmitter])
-                continue
-            engine.schedule(frame.end, self._resolve_all, frame)
+            if kind is AUX or _scanner_catches(interval, window, frame):
+                engine.schedule(end, self._resolve_all, frame)
+            else:
+                uncaught += 1
+        self._max_airtime_us = max_airtime
+        if last_end is not None:
+            self._tx_end[tx] = last_end
+        if uncaught:
+            self._not_listening += uncaught * len(self._candidates[tx])
+        on_air = [o for o in self._on_air if o.end >= horizon]
+        on_air.extend(frames)
         self._on_air = on_air
 
     def _resolve_all(self, frame: ChannelFrame) -> None:

@@ -76,7 +76,7 @@ def choose_relays(topology: Topology, cfg: ScenarioConfig,
 
 
 def _emit_noise(medium: Medium, channel: int, power_dbm: float, start: int) -> None:
-    medium.begin_transmission(ChannelFrame(
+    medium.begin_transmission(ChannelFrame.checked(
         ENV_TRANSMITTER, channel, PHY_1M, power_dbm, start,
         NOISE_BURST_OCTETS, FrameKind.NOISE))
 

@@ -46,7 +46,7 @@ from functools import partial
 
 from .engine import Engine, RandomSource
 from .errors import ConfigError
-from .radio import ADV, AUX, EXT_IND, PHY_1M, PHY_2M, ChannelFrame, Medium
+from .radio import ADV, AUX, EXT_IND, PHY_1M, PHY_2M, ChannelFrame, Medium, airtime_us
 from .scenario import ScenarioConfig, ms_to_us, s_to_us
 
 log = logging.getLogger(__name__)
@@ -66,6 +66,7 @@ MAX_SEQ = 1 << 24
 GROUP_ADV_EVENTS = 2               # fixed per-message budget in group mode
 INTER_CHANNEL_GAP_US = 400
 EXT_INDICATION_OCTETS = 10
+EXT_INDICATION_AIRTIME_US = airtime_us(EXT_INDICATION_OCTETS, PHY_1M)
 EXT_AUX_OFFSET_US = 1_000
 BLOCK_ACK_OCTETS = 7
 APP_ACK_OCTETS = 4
@@ -110,9 +111,24 @@ class MeshPdu:
         self.octets = BLOCK_ACK_OCTETS if kind == "seg_ack" else max(1, len(payload))
 
     def relayed_copy(self) -> "MeshPdu":
-        return MeshPdu(self.src, self.dst, self.seq, self.ttl - 1, self.payload,
-                       self.app_msg_id, kind=self.kind, seg=self.seg,
-                       ack_info=self.ack_info)
+        """This PDU at ttl - 1, every other slot the same.
+
+        A slot copy, not a second trip through __init__: the relay rule
+        relays only at ttl >= 2, so the copy's ttl is in range, and its
+        seq and octets are this PDU's, already checked and computed.
+        """
+        copy = object.__new__(MeshPdu)
+        copy.src = self.src
+        copy.dst = self.dst
+        copy.seq = self.seq
+        copy.ttl = self.ttl - 1
+        copy.seg = self.seg
+        copy.payload = self.payload
+        copy.app_msg_id = self.app_msg_id
+        copy.kind = self.kind
+        copy.ack_info = self.ack_info
+        copy.octets = self.octets
+        return copy
 
 
 def segment_payload(payload: bytes, *, extended: bool = False) -> list[bytes]:
@@ -571,11 +587,6 @@ class Node:
         self._in_service = True
         self._start_event(heapq.heappop(self._adv_heap)[2])
 
-    def _event_power(self) -> float:
-        if self.observer is not None:
-            return controlled_power_dbm(self.cfg, self.observer)
-        return self.cfg.tx_power_dbm
-
     def _start_event(self, job: _AdvJob) -> None:
         """Build the event's frames, all at its one power, and register them.
 
@@ -588,34 +599,44 @@ class Node:
         set: the indications resolve before it starts.  The whole event is
         registered with the medium in one call and counted with the
         collector in one call, both now and in frame order, and the event
-        ends one gap after its last frame.
+        ends one gap after its last frame.  The frames are built with the
+        unchecked ChannelFrame constructor: the channels here are valid by
+        construction, and the airtime is computed once per event.
         """
         now = self.engine.now
+        rng = self.rng
         if job.events_left > 1:
+            # uniform(0, m) is 0 + m * random(): the same value, one call less
             job.due = (now + self.adv_interval_us
-                       + int(self.rng.uniform(0, self.adv_delay_max_us)))
-        power = self._event_power()
+                       + int(self.adv_delay_max_us * rng.random()))
+        observer = self.observer
+        power = self.cfg.tx_power_dbm if observer is None \
+            else controlled_power_dbm(self.cfg, observer)
         pdu = job.pdu
         if self.cfg.extended:
-            kind, octets, eligible = EXT_IND, EXT_INDICATION_OCTETS, set()
+            kind, airtime, eligible = EXT_IND, EXT_INDICATION_AIRTIME_US, set()
         else:
-            kind, octets, eligible = ADV, pdu.octets, None
+            kind, airtime, eligible = ADV, airtime_us(pdu.octets, PHY_1M), None
         node_id = self.node_id
         gap = INTER_CHANNEL_GAP_US
-        f37 = ChannelFrame(node_id, 37, PHY_1M, power, now, octets, kind, pdu,
-                           eligible)
-        f38 = ChannelFrame(node_id, 38, PHY_1M, power, f37.end + gap, octets,
-                           kind, pdu, eligible)
-        f39 = ChannelFrame(node_id, 39, PHY_1M, power, f38.end + gap, octets,
-                           kind, pdu, eligible)
-        frames = (f37, f38, f39)
+        t38 = now + airtime + gap
+        t39 = t38 + airtime + gap
+        end = t39 + airtime
+        frames = (
+            ChannelFrame(node_id, 37, PHY_1M, power, now, now + airtime, kind,
+                         pdu, eligible),
+            ChannelFrame(node_id, 38, PHY_1M, power, t38, t38 + airtime, kind,
+                         pdu, eligible),
+            ChannelFrame(node_id, 39, PHY_1M, power, t39, end, kind, pdu,
+                         eligible))
         if kind is EXT_IND:
-            frames += (ChannelFrame(node_id, self.rng.randrange(37), PHY_2M, power,
-                                    f39.end + EXT_AUX_OFFSET_US, pdu.octets, AUX,
-                                    pdu, eligible),)
+            start = end + EXT_AUX_OFFSET_US
+            end = start + airtime_us(pdu.octets, PHY_2M)
+            frames += (ChannelFrame(node_id, rng.randrange(37), PHY_2M, power,
+                                    start, end, AUX, pdu, eligible),)
         self.medium.begin_transmission(*frames)
         self.collector.on_frame(pdu.app_msg_id, power, len(frames))
-        self.engine.schedule(frames[-1].end + gap, self._finish_event, job)
+        self.engine.schedule(end + gap, self._finish_event, job)
 
     def _finish_event(self, job: _AdvJob) -> None:
         heap = self._adv_heap

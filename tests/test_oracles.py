@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from meshsim.engine import Engine, RandomSource
 from meshsim.metrics import DELIVERED
-from meshsim.radio import PHY_1M, ChannelFrame, FrameKind, Medium, airtime_us
+from meshsim.radio import PHY_1M, ChannelFrame, FrameKind, Medium, Outcome, airtime_us
 from meshsim.runner import run_experiment
 from meshsim.scenario import ScenarioConfig, ms_to_us
 from meshsim.stack import GROUP_ADV_EVENTS, INTER_CHANNEL_GAP_US, MeshPdu, Node
@@ -64,9 +64,9 @@ def test_capture_against_noise_of_known_power(noise_dbm):
     medium.finalize(0.0)
     for k in range(n):
         # the burst (39 octets, 392 us) covers the whole 168 us frame
-        noise = ChannelFrame("env", 37, PHY_1M, noise_dbm, 1_000 * k, 39,
-                             FrameKind.NOISE)
-        frame = ChannelFrame("a", 37, PHY_1M, 0.0, 1_000 * k + 50, 11)
+        noise = ChannelFrame.checked("env", 37, PHY_1M, noise_dbm, 1_000 * k, 39,
+                                     FrameKind.NOISE)
+        frame = ChannelFrame.checked("a", 37, PHY_1M, 0.0, 1_000 * k + 50, 11)
         engine.schedule(noise.start, medium.begin_transmission, noise)
         engine.schedule(frame.start, medium.begin_transmission, frame)
     engine.run_until_idle()
@@ -98,6 +98,66 @@ def test_group_link_delivery(margin_db):
     z = NormalDist().inv_cdf(0.9995)
     # the normal approximation's 99.9 % interval, with continuity correction
     assert abs(delivered - n * p) <= z * math.sqrt(n * p * (1 - p)) + 0.5
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_duty_cycled_scanner_catch_rate(extended):
+    # every node scans channel 37 + k % 3 for the first W µs of interval k,
+    # I µs long.  A frame of airtime a is caught whole iff it starts within
+    # [kI, kI + W - a] of an interval on its channel.  An event's primary
+    # frames start d = a + gap apart on 37, 38, 39, so an event starting
+    # at phase t of the 3I cycle is caught on frame i iff t lies in
+    # [iI - id, iI - id + W - a].  Its span, 3a + 2 gap, plus the window
+    # is under one interval, so those three ranges are disjoint and at
+    # most one frame of an event is caught: an event whose start is
+    # uniform over the cycle's 3I integer phases is caught with
+    # probability (W - a + 1) / I.  Without shadowing a 60 dB link with
+    # nothing else on the air delivers every caught frame; for an
+    # extended event a caught indication admits the receiver to the aux
+    # frame, and one delivery counts the event either way.  The catching
+    # channel follows the event's phase, so a legacy event is caught on
+    # each channel with probability p / 3
+    interval, window, n, receivers = ms_to_us(100), ms_to_us(30), 3_000, ("b", "c")
+    octets = 50 if extended else 11
+    airtime = airtime_us(10 if extended else octets, PHY_1M)
+    assert 3 * airtime + 2 * INTER_CHANNEL_GAP_US + window < interval
+    p = (window - airtime + 1) / interval
+    losses = {("a", rx): 60.0 for rx in receivers}
+    losses[receivers] = 300.0
+    engine = Engine()
+    medium = Medium(engine, loss_table(losses), interval, window,
+                    shadowing_sigma_db=0.0)
+    delivered = Counter()
+    root = RandomSource(5)
+    node = Node("a", 1, ScenarioConfig(extended=extended), False, engine, medium,
+                root.stream("proto:a"), root.stream("chan:a"), CollectorLog(), {}, {})
+    for rx in receivers:
+        medium.register(rx, root.stream(f"chan:{rx}"),
+                        lambda frame, rssi, rx=rx: delivered.update([rx, (rx, frame.channel)]))
+    medium.finalize(0.0)
+    # one event per PDU, each starting at a fresh uniform phase of the 3I
+    # cycle; events are two cycles apart, so none overlaps another
+    jitter = root.stream("jitter")
+    for seq in range(n):
+        engine.schedule(6 * interval * seq + jitter.randrange(3 * interval),
+                        node._enqueue, MeshPdu(1, 2, seq, 5, bytes(octets), seq), 1)
+    engine.run_until_idle()
+    caught = delivered["b"]
+    assert delivered["c"] == caught     # one scan config: both hear the same frames
+    z = NormalDist().inv_cdf(0.9995)
+
+    def inside(count, p):
+        # the normal approximation's 99.9 % interval, with continuity correction
+        return abs(count - n * p) <= z * math.sqrt(n * p * (1 - p)) + 0.5
+
+    assert inside(caught, p)
+    if not extended:
+        assert all(inside(delivered["b", ch], p / 3) for ch in (37, 38, 39))
+    # every primary frame no scanner catches is not listened to at both
+    # receivers; a caught indication counts as delivered, and so does its aux
+    counts = medium.outcome_counts
+    assert counts[Outcome.NOT_LISTENING] == len(receivers) * (3 * n - caught)
+    assert counts[Outcome.DELIVERED] == len(receivers) * caught * (2 if extended else 1)
 
 
 # --------------------------------------------------------------------------

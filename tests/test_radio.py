@@ -74,15 +74,19 @@ def test_airtime_monotonic_in_octets(n):
 
 def test_frame_channel_kind_validation():
     with pytest.raises(ConfigError):
-        ChannelFrame("a", 15, PHY_1M, 0.0, 0, 11, kind=FrameKind.ADV)
+        ChannelFrame.checked("a", 15, PHY_1M, 0.0, 0, 11, kind=FrameKind.ADV)
     with pytest.raises(ConfigError):
-        ChannelFrame("a", 37, PHY_2M, 0.0, 0, 11, kind=FrameKind.AUX)
-    f = ChannelFrame("a", 37, PHY_1M, 0.0, 100, 11)
+        ChannelFrame.checked("a", 37, PHY_2M, 0.0, 0, 11, kind=FrameKind.AUX)
+    for kind, channel in ((FrameKind.ADV, 37), (FrameKind.EXT_IND, 38),
+                          (FrameKind.AUX, 5), (FrameKind.NOISE, 39)):
+        with pytest.raises(ConfigError, match="empty frame"):
+            ChannelFrame.checked("a", channel, PHY_1M, 0.0, 0, 0, kind=kind)
+    f = ChannelFrame.checked("a", 37, PHY_1M, 0.0, 100, 11)
     assert f.end - f.start == airtime_us(11, PHY_1M)
 
 
 def if_chain_frame_check(kind, channel):
-    """ChannelFrame's check as an if-chain over FrameKind: None, or the error text."""
+    """ChannelFrame.checked's check as an if-chain over FrameKind: None, or the error text."""
     if kind in (FrameKind.ADV, FrameKind.EXT_IND):
         if channel not in PRIMARY_CHANNELS:
             return f"{kind.value} frame on channel {channel}: primary channels only"
@@ -99,10 +103,10 @@ def test_frame_channel_check_matches_if_chain_oracle(kind):
     for channel in range(-2, 42):
         expected = if_chain_frame_check(kind, channel)
         if expected is None:
-            ChannelFrame("a", channel, PHY_1M, 0.0, 0, 11, kind)
+            ChannelFrame.checked("a", channel, PHY_1M, 0.0, 0, 11, kind)
         else:
             with pytest.raises(ConfigError) as exc:
-                ChannelFrame("a", channel, PHY_1M, 0.0, 0, 11, kind)
+                ChannelFrame.checked("a", channel, PHY_1M, 0.0, 0, 11, kind)
             assert str(exc.value) == expected
 
 
@@ -159,7 +163,7 @@ def test_candidates_match_per_pair_prune(data):
 
 def test_lone_frame_delivered_to_scanning_neighbors():
     eng, med, delivered = make_medium({("a", "b"): 60.0, ("a", "c"): 60.0, ("b", "c"): 60.0})
-    f = ChannelFrame("a", 37, PHY_1M, 0.0, 0, 11)
+    f = ChannelFrame.checked("a", 37, PHY_1M, 0.0, 0, 11)
     med.begin_transmission(f)
     eng.run_until_idle()
     assert sorted(n for n, _, _ in delivered) == ["b", "c"]
@@ -168,14 +172,14 @@ def test_lone_frame_delivered_to_scanning_neighbors():
 
 def test_sensitivity_boundary_inclusive():
     eng, med, delivered = make_medium({("a", "b"): 90.0})
-    med.begin_transmission(ChannelFrame("a", 37, PHY_1M, 0.0, 0, 11))
+    med.begin_transmission(ChannelFrame.checked("a", 37, PHY_1M, 0.0, 0, 11))
     eng.run_until_idle()
     assert [n for n, _, _ in delivered] == ["b"]  # rssi == -90 == sensitivity
 
 
 def test_below_sensitivity_lost():
     eng, med, delivered = make_medium({("a", "b"): 90.5})
-    med.begin_transmission(ChannelFrame("a", 37, PHY_1M, 0.0, 0, 11))
+    med.begin_transmission(ChannelFrame.checked("a", 37, PHY_1M, 0.0, 0, 11))
     eng.run_until_idle()
     assert delivered == []
 
@@ -183,8 +187,8 @@ def test_below_sensitivity_lost():
 def test_capture_lets_much_stronger_frame_through():
     losses = {("a", "r"): 60.0, ("b", "r"): 95.0, ("a", "b"): 70.0}
     eng, med, delivered = make_medium(losses)
-    med.begin_transmission(ChannelFrame("a", 37, PHY_1M, 0.0, 0, 11))
-    med.begin_transmission(ChannelFrame("b", 37, PHY_1M, 0.0, 50, 11))
+    med.begin_transmission(ChannelFrame.checked("a", 37, PHY_1M, 0.0, 0, 11))
+    med.begin_transmission(ChannelFrame.checked("b", 37, PHY_1M, 0.0, 50, 11))
     eng.run_until_idle()
     assert ("r", delivered[0][1], -60.0) in delivered or any(n == "r" for n, _, _ in delivered)
     got = {(n, f.transmitter) for n, f, _ in delivered}
@@ -195,8 +199,8 @@ def test_capture_lets_much_stronger_frame_through():
 def test_near_equal_overlap_loses_both():
     losses = {("a", "r"): 60.0, ("b", "r"): 65.0, ("a", "b"): 70.0}
     eng, med, delivered = make_medium(losses)
-    med.begin_transmission(ChannelFrame("a", 37, PHY_1M, 0.0, 0, 11))
-    med.begin_transmission(ChannelFrame("b", 37, PHY_1M, 0.0, 50, 11))
+    med.begin_transmission(ChannelFrame.checked("a", 37, PHY_1M, 0.0, 0, 11))
+    med.begin_transmission(ChannelFrame.checked("b", 37, PHY_1M, 0.0, 50, 11))
     eng.run_until_idle()
     assert not any(n == "r" for n, _, _ in delivered)
     assert med.outcome_counts[Outcome.COLLISION] >= 2
@@ -205,8 +209,8 @@ def test_near_equal_overlap_loses_both():
 def test_receiver_transmitting_misses_frame():
     losses = {("a", "b"): 60.0}
     eng, med, delivered = make_medium(losses)
-    med.begin_transmission(ChannelFrame("a", 37, PHY_1M, 0.0, 0, 11))
-    med.begin_transmission(ChannelFrame("b", 38, PHY_1M, 0.0, 50, 11))
+    med.begin_transmission(ChannelFrame.checked("a", 37, PHY_1M, 0.0, 0, 11))
+    med.begin_transmission(ChannelFrame.checked("b", 38, PHY_1M, 0.0, 50, 11))
     eng.run_until_idle()
     # different channels, so no collision; but each was transmitting during the other
     assert delivered == []
@@ -215,16 +219,49 @@ def test_receiver_transmitting_misses_frame():
 
 def test_half_duplex_transmit_overlap_asserts():
     eng, med, _ = make_medium({("a", "b"): 60.0})
-    med.begin_transmission(ChannelFrame("a", 37, PHY_1M, 0.0, 0, 11))
+    med.begin_transmission(ChannelFrame.checked("a", 37, PHY_1M, 0.0, 0, 11))
     with pytest.raises(AssertionError):
-        med.begin_transmission(ChannelFrame("a", 38, PHY_1M, 0.0, 50, 11))
+        med.begin_transmission(ChannelFrame.checked("a", 38, PHY_1M, 0.0, 50, 11))
+
+
+def test_one_call_is_one_event_of_one_transmitter():
+    # begin_transmission looks the transmitter and its last end up once per
+    # call, so each of these must still raise: frames of one call that
+    # overlap each other, a call whose first frame starts before the
+    # transmitter's last end, and a call with frames of two transmitters
+    # (the second one's half duplex would otherwise go unchecked)
+    def frame(tx, channel, start):
+        return ChannelFrame.checked(tx, channel, PHY_1M, 0.0, start, 11)   # 168 µs
+
+    _, med, _ = make_medium({("a", "b"): 60.0})
+    with pytest.raises(AssertionError, match="already transmitting at t=100"):
+        med.begin_transmission(frame("a", 37, 0), frame("a", 38, 100))
+
+    _, med, _ = make_medium({("a", "b"): 60.0})
+    med.begin_transmission(frame("a", 37, 0), frame("a", 38, 568))    # ends 736
+    with pytest.raises(AssertionError, match="already transmitting at t=700"):
+        med.begin_transmission(frame("a", 39, 700), frame("a", 37, 2_000))
+
+    for pair in ((frame("a", 37, 0), frame("b", 38, 568)),
+                 (frame("b", 37, 0), frame("a", 38, 568)),
+                 (frame("env", 37, 0), frame("a", 38, 568))):
+        _, med, _ = make_medium({("a", "b"): 60.0})
+        with pytest.raises(AssertionError, match="registered as one event"):
+            med.begin_transmission(*pair)
+
+    # back to back, one call at a time or in one call, is accepted
+    eng, med, delivered = make_medium({("a", "b"): 60.0})
+    med.begin_transmission(frame("a", 37, 0), frame("a", 38, 168))
+    med.begin_transmission(frame("a", 39, 336))
+    eng.run_until_idle()
+    assert [f.channel for _, f, _ in delivered] == [37]
 
 
 def test_scanner_channel_rotates_per_interval():
     # scan interval 1000 µs, window 1000 µs: second interval listens on 38
     eng, med, delivered = make_medium({("a", "b"): 60.0}, scan_interval=1000)
-    med.begin_transmission(ChannelFrame("a", 38, PHY_1M, 0.0, 1200, 11))
-    med.begin_transmission(ChannelFrame("a", 37, PHY_1M, 0.0, 1600, 11))
+    med.begin_transmission(ChannelFrame.checked("a", 38, PHY_1M, 0.0, 1200, 11))
+    med.begin_transmission(ChannelFrame.checked("a", 37, PHY_1M, 0.0, 1600, 11))
     eng.run_until_idle()
     got = {f.channel for _, f, _ in delivered}
     assert got == {38}
@@ -232,7 +269,7 @@ def test_scanner_channel_rotates_per_interval():
 
 def test_frame_straddling_interval_boundary_lost():
     eng, med, delivered = make_medium({("a", "b"): 60.0}, scan_interval=1000)
-    med.begin_transmission(ChannelFrame("a", 37, PHY_1M, 0.0, 900, 11))  # ends at 1068
+    med.begin_transmission(ChannelFrame.checked("a", 37, PHY_1M, 0.0, 900, 11))  # ends at 1068
     eng.run_until_idle()
     assert delivered == []
 
@@ -240,8 +277,8 @@ def test_frame_straddling_interval_boundary_lost():
 def test_duty_cycled_window_idles_late_in_interval():
     eng, med, delivered = make_medium(
         {("a", "b"): 60.0}, scan_interval=10_000, scan_window=2_000)
-    med.begin_transmission(ChannelFrame("a", 37, PHY_1M, 0.0, 500, 11))
-    med.begin_transmission(ChannelFrame("a", 37, PHY_1M, 0.0, 5_000, 11))
+    med.begin_transmission(ChannelFrame.checked("a", 37, PHY_1M, 0.0, 500, 11))
+    med.begin_transmission(ChannelFrame.checked("a", 37, PHY_1M, 0.0, 5_000, 11))
     eng.run_until_idle()
     starts = sorted(f.start for _, f, _ in delivered)
     assert starts == [500]
@@ -253,8 +290,8 @@ def test_frame_the_scanner_misses_still_interferes():
     # overlaps a's on channel 37 at equal power
     eng, med, delivered = make_medium(
         {("a", "b"): 60.0, ("c", "b"): 60.0, ("a", "c"): 60.0}, scan_interval=1000)
-    med.begin_transmission(ChannelFrame("a", 37, PHY_1M, 0.0, 830, 11))
-    med.begin_transmission(ChannelFrame("c", 37, PHY_1M, 0.0, 900, 11))
+    med.begin_transmission(ChannelFrame.checked("a", 37, PHY_1M, 0.0, 830, 11))
+    med.begin_transmission(ChannelFrame.checked("c", 37, PHY_1M, 0.0, 900, 11))
     eng.run_until_idle()
     assert delivered == []
     counts = med.outcome_counts
@@ -264,9 +301,9 @@ def test_frame_the_scanner_misses_still_interferes():
 
 def test_noise_frame_interferes_but_never_delivers():
     eng, med, delivered = make_medium({("a", "b"): 60.0})
-    noise = ChannelFrame("ext", 37, PHY_1M, -55.0, 0, 39, kind=FrameKind.NOISE)
+    noise = ChannelFrame.checked("ext", 37, PHY_1M, -55.0, 0, 39, kind=FrameKind.NOISE)
     med.begin_transmission(noise)
-    med.begin_transmission(ChannelFrame("a", 37, PHY_1M, 0.0, 50, 11))
+    med.begin_transmission(ChannelFrame.checked("a", 37, PHY_1M, 0.0, 50, 11))
     eng.run_until_idle()
     assert delivered == []  # -60 vs -55 noise: capture fails
 
@@ -277,10 +314,10 @@ def test_history_outlives_a_short_frame_while_a_long_one_is_pending():
     # overlaps it; the second, faint frame must not prune the first
     eng, med, delivered = make_medium(
         {("a", "b"): 60.0, ("c", "b"): 60.0, ("a", "c"): 60.0})
-    med.begin_transmission(ChannelFrame("c", 37, PHY_1M, 0.0, 0, 11))
-    med.begin_transmission(ChannelFrame("a", 37, PHY_1M, 0.0, 100, 200))
+    med.begin_transmission(ChannelFrame.checked("c", 37, PHY_1M, 0.0, 0, 11))
+    med.begin_transmission(ChannelFrame.checked("a", 37, PHY_1M, 0.0, 100, 200))
     eng.schedule(1500, med.begin_transmission,
-                 ChannelFrame("c", 37, PHY_1M, -100.0, 1500, 11))
+                 ChannelFrame.checked("c", 37, PHY_1M, -100.0, 1500, 11))
     eng.run_until_idle()
     assert delivered == []
     counts = med.outcome_counts
@@ -291,7 +328,7 @@ def test_history_outlives_a_short_frame_while_a_long_one_is_pending():
 
 def test_blackout_window_forces_loss():
     eng, med, delivered = make_medium({("a", "b"): 60.0})
-    frame = ChannelFrame("a", 37, PHY_1M, 0.0, 0, 11)
+    frame = ChannelFrame.checked("a", 37, PHY_1M, 0.0, 0, 11)
     frame.rssi_cache = [None] * len(med.table)
     frame.rssi_cache[med.index["b"]] = -math.inf   # set before airing: used as is
     med.begin_transmission(frame)
@@ -306,7 +343,7 @@ def test_shadowing_draws_are_per_frame_and_reproducible():
     for _ in range(2):
         eng, med, delivered = make_medium(losses, sigma=4.0)
         for i in range(20):
-            med.begin_transmission(ChannelFrame("a", 37, PHY_1M, 0.0, i * 1000, 11))
+            med.begin_transmission(ChannelFrame.checked("a", 37, PHY_1M, 0.0, i * 1000, 11))
         eng.run_until_idle()
         outs.append([round(r, 6) for _, _, r in delivered])
     assert outs[0] == outs[1]
@@ -465,9 +502,10 @@ def run_impl(nodes, frames, loss, calls, sets=(), *, sigma=0.0,
     members = [set(s) for s in sets]
     aired = []
     for f in frames:
-        fr = ChannelFrame(f.tx, f.channel, PHY_2M if f.kind is FrameKind.AUX else PHY_1M,
-                          f.power, f.start, f.octets, f.kind, None,
-                          None if f.eligible is None else members[f.eligible])
+        fr = ChannelFrame.checked(
+            f.tx, f.channel, PHY_2M if f.kind is FrameKind.AUX else PHY_1M,
+            f.power, f.start, f.octets, f.kind, None,
+            None if f.eligible is None else members[f.eligible])
         position[fr] = len(aired)
         aired.append(fr)
     for t, group in calls:

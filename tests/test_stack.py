@@ -21,11 +21,13 @@ from meshsim.radio import (
 )
 from meshsim.scenario import ScenarioConfig
 from meshsim.stack import (
+    EXT_INDICATION_OCTETS,
     INTER_CHANNEL_GAP_US,
     RX_DONE_CAPACITY,
     SEG_ROUND_BASE_US,
     SEG_ROUND_PER_TTL_US,
     TRANSPORT_RETRY_ROUNDS,
+    MAX_TTL,
     MeshPdu,
     NetworkCache,
     Node,
@@ -123,7 +125,7 @@ def test_scanner_channel_rotation():
     def caught_on(interval, window, t_us):
         """Primary channels on which the scanner catches a 1-octet frame at t_us."""
         return [ch for ch in PRIMARY_CHANNELS if _scanner_catches(
-            interval, window, ChannelFrame("a", ch, PHY_1M, 0.0, t_us, 1))]
+            interval, window, ChannelFrame.checked("a", ch, PHY_1M, 0.0, t_us, 1))]
 
     interval = 2_000_000
     assert caught_on(interval, interval, 0) == [37]
@@ -190,6 +192,44 @@ def test_pdu_octets_match_property_formula(ttl, fill):
             assert copy.octets == pdu.octets == property_octets(copy)
 
 
+def pdu_slots(pdu):
+    return {name: getattr(pdu, name) for name in MeshPdu.__slots__}
+
+
+@settings(max_examples=60)
+@given(st.integers(2, MAX_TTL), st.integers(0, (1 << 24) - 1),
+       st.sampled_from(["data", "app_ack", "seg_ack"]), st.binary(max_size=40),
+       st.sampled_from([None, (0, 2, 5), (1, 2, 5)]),
+       st.sampled_from([None, (5, frozenset({0}))]))
+def test_relayed_copy_is_a_validated_pdu_at_ttl_minus_one(ttl, seq, kind, payload,
+                                                          seg, ack_info):
+    # relayed_copy skips __init__; at every ttl the relay rule lets through
+    # it must give what __init__ would, slot by slot
+    pdu = MeshPdu(3, 0xC001, seq, ttl, payload, 9, kind=kind, seg=seg,
+                  ack_info=ack_info)
+    fresh = MeshPdu(3, 0xC001, seq, ttl - 1, payload, 9, kind=kind, seg=seg,
+                    ack_info=ack_info)
+    copy = pdu.relayed_copy()
+    assert type(copy) is MeshPdu and copy is not pdu
+    assert pdu_slots(copy) == pdu_slots(fresh)
+    assert pdu.ttl == ttl
+
+
+def test_receive_path_relays_only_from_ttl_two():
+    # what relayed_copy leaves unchecked the relay rule guarantees: a copy
+    # is made only of a PDU at ttl >= 2, so no relayed ttl is below 1
+    w = World(["a", "b"], 60.0, cfg=quiet_params())
+    relay = w.nodes["b"]
+    for seq, ttl in enumerate([0, 1, 2, 3, MAX_TTL]):
+        # from a, to an address no node holds: only b's relay rule acts
+        w.collector.on_send(seq, "a", (), 0)
+        relay.receive_network_pdu(MeshPdu(w.addr["a"], 0x0100, seq, ttl, b"x", seq))
+    w.engine.run_until_idle()
+    relayed = {f.payload.seq: f.payload.ttl for f in w.sent_by("b")}
+    assert relayed == {2: 1, 3: 2, 4: MAX_TTL - 1}
+    assert not w.sent_by("a")   # a drops its own PDU, relayed back to it
+
+
 def test_network_cache_fifo_eviction():
     cache = NetworkCache(capacity=3)
     for key in ("k1", "k2", "k3"):
@@ -253,6 +293,43 @@ def test_legacy_event_structure():
     assert events[1][0].start == events[0][2].end + 400
     for ev, nxt in zip(events, events[1:]):
         assert nxt[0].start >= ev[2].end + 400
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_stack_frames_equal_the_checked_builders(extended):
+    # Node._start_event builds with the unchecked constructor and its own
+    # airtime; the checked builder, given the same arguments, must give the
+    # same frame slot by slot.  Power control is on and engaged, so the
+    # event's power is not the default
+    w = World(["a", "b"], 60.0,
+              cfg=quiet_params(extended=extended, power_control=True))
+    for ch in (37, 38, 39):
+        w.nodes["a"].observer.observe(ch, -60.0)    # power 0 + 60 - 70 = -10
+    registered = []     # each frame's slots as it was registered
+    inner = w.medium.begin_transmission
+
+    def snapshot(*frames):
+        registered.append([{name: getattr(f, name) for name in ChannelFrame.__slots__}
+                           for f in frames])
+        inner(*frames)
+
+    w.medium.begin_transmission = snapshot
+    w.publish_at(0, "a", w.addr["b"], bytes(50 if extended else 11), 1)
+    w.engine.run_until_idle()
+    first = registered[0]
+    assert [f["channel"] for f in first][:3] == [37, 38, 39]
+    assert len(first) == (4 if extended else 3)
+    assert {f["power_dbm"] for f in first} == {-10.0}
+    for event in registered:
+        for f in event:
+            octets = EXT_INDICATION_OCTETS if f["kind"] is FrameKind.EXT_IND \
+                else f["payload"].octets
+            built = ChannelFrame.checked(f["transmitter"], f["channel"], f["phy"],
+                                         f["power_dbm"], f["start"], octets,
+                                         f["kind"], f["payload"], f["eligible"])
+            assert {name: getattr(built, name)
+                    for name in ChannelFrame.__slots__} == f
+            assert built.payload is f["payload"] and built.eligible is f["eligible"]
 
 
 def test_aux_eligible_only_to_nodes_that_caught_its_indications(monkeypatch):
