@@ -20,6 +20,12 @@ DELIVERED = "delivered"
 LOST = "lost"
 FLAGGED = "guard-flagged"
 
+# compare's bootstrap: resamples, the seed of its draws, and the fewest
+# seeds an arm may have
+BOOTSTRAP_RESAMPLES = 10_000
+BOOTSTRAP_SEED = 0x5EED
+MIN_SEEDS = 5
+
 
 @dataclass(frozen=True)
 class MessageRecord:
@@ -66,9 +72,8 @@ class _Msg:
 class Collector:
     """Accumulates message state during a run; one record per (message, destination)."""
 
-    def __init__(self, addr_to_node: dict | None = None):
+    def __init__(self):
         self._msgs: dict[int, _Msg] = {}
-        self._addr_to_node = addr_to_node or {}
         self.frames_sent = 0
         self.power_sum_dbm = 0.0
 
@@ -80,9 +85,8 @@ class Collector:
     def on_delivery(self, app_msg_id, node_id, t_us) -> None:
         self._msgs[app_msg_id].deliveries.setdefault(node_id, t_us)
 
-    def on_ack(self, app_msg_id, from_addr_value, t_us) -> None:
-        node = self._addr_to_node.get(from_addr_value, from_addr_value)
-        self._msgs[app_msg_id].acks.setdefault(node, t_us)
+    def on_ack(self, app_msg_id, node_id, t_us) -> None:
+        self._msgs[app_msg_id].acks.setdefault(node_id, t_us)
 
     def on_retransmission(self, app_msg_id) -> None:
         self._msgs[app_msg_id].retx += 1
@@ -202,54 +206,6 @@ def write_messages_csv(records, path) -> None:
             ])
 
 
-def _row_problem(r: MessageRecord) -> str | None:
-    """Why no run writes record r, or None when one can."""
-    if r.status not in (DELIVERED, LOST, FLAGGED):
-        return f"unknown status {r.status!r}"
-    if r.status == DELIVERED and r.delivery_time_us is None:
-        return "status delivered without a delivery time"
-    if r.status == LOST and r.delivery_time_us is not None:
-        return "status lost with a delivery time"
-    for name, t in (("delivery", r.delivery_time_us), ("ack", r.ack_time_us)):
-        if t is not None and t < r.send_time_us:
-            return f"{name} at {t} µs before send at {r.send_time_us} µs"
-    if r.retransmissions < 0 or r.frames_total < 0:
-        return "negative retransmissions or frames_total"
-    return None
-
-
-def read_messages_csv(path) -> list[MessageRecord]:
-    """Records written by write_messages_csv; any other row raises ConfigError."""
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
-            raise ConfigError(f"unexpected message CSV header in {path}")
-        for row in reader:
-            where = f"{path}: line {reader.line_num}"
-            # DictReader puts the cells past the header under the key None
-            if None in row:
-                raise ConfigError(f"{where}: {len(row[None])} cell(s) past "
-                                  f"the {len(CSV_COLUMNS)} columns")
-            try:
-                r = MessageRecord(
-                    int(row["app_msg_id"]), row["source"], row["destination"],
-                    int(row["send_time_us"]),
-                    int(row["delivery_time_us"]) if row["delivery_time_us"] else None,
-                    int(row["ack_time_us"]) if row["ack_time_us"] else None,
-                    int(row["retransmissions"]), int(row["frames_total"]),
-                    row["status"],
-                )
-            except (TypeError, ValueError) as exc:
-                # a short row fills its missing columns with None
-                raise ConfigError(f"{where}: bad message row: {exc}") from None
-            problem = _row_problem(r)
-            if problem is not None:
-                raise ConfigError(f"{where}: {problem}")
-            out.append(r)
-    return out
-
-
 def stats_as_dict(stats: SummaryStats) -> dict:
     return {
         "kind": stats.kind,
@@ -322,25 +278,24 @@ def per_seed_means(records_by_seed: dict, kind: str) -> list[float]:
     return means
 
 
-def compare(baseline_by_seed: dict, variant_by_seed: dict, kind: str = "one-way",
-            resamples: int = 10_000, min_seeds: int = 5,
-            rng_seed: int = 0x5EED) -> CompareResult:
+def compare(baseline_by_seed: dict, variant_by_seed: dict,
+            kind: str = "one-way") -> CompareResult:
     """Percent change of mean latency with a bootstrap 95% CI over per-seed means.
 
-    Each resample draws both arms' seeds with replacement; the CI's ends
-    are the 2.5th and 97.5th percentiles of the resampled changes,
-    interpolated linearly between ranks.
+    Each of BOOTSTRAP_RESAMPLES resamples draws both arms' seeds with
+    replacement; the CI's ends are the 2.5th and 97.5th percentiles of the
+    resampled changes, interpolated linearly between ranks.
     """
-    if len(baseline_by_seed) < min_seeds or len(variant_by_seed) < min_seeds:
+    if len(baseline_by_seed) < MIN_SEEDS or len(variant_by_seed) < MIN_SEEDS:
         raise ConfigError(
-            f"compare needs at least {min_seeds} seeds per arm, got "
+            f"compare needs at least {MIN_SEEDS} seeds per arm, got "
             f"{len(baseline_by_seed)} and {len(variant_by_seed)}")
     b = per_seed_means(baseline_by_seed, kind)
     v = per_seed_means(variant_by_seed, kind)
     b_mean, v_mean = fmean(b), fmean(v)
-    rng = random.Random(rng_seed)
+    rng = random.Random(BOOTSTRAP_SEED)
     pct = []
-    for _ in range(resamples):
+    for _ in range(BOOTSTRAP_RESAMPLES):
         bm = fmean(rng.choices(b, k=len(b)))
         pct.append((fmean(rng.choices(v, k=len(v))) - bm) / bm * 100.0)
     cuts = quantiles(pct, n=40, method="inclusive")

@@ -113,9 +113,8 @@ def run_experiment(topology: Topology, cfg: ScenarioConfig, seed: int) -> RunRes
                     ms_to_us(cfg.scan_window_resolved_ms))
     addr = {nid: i + 1 for i, nid in enumerate(topology.node_ids)}
     directory = {v: nid for nid, v in addr.items()}
-    groups = {GROUP_ADDRESS: tuple(cfg.slaves)} \
-        if cfg.mode == "group-acked-fixed" else {}
-    collector = Collector(directory)
+    groups = {GROUP_ADDRESS: tuple(cfg.slaves)} if cfg.mode == "group" else {}
+    collector = Collector()
 
     nodes: dict[str, Node] = {}
     for nid in topology.node_ids:

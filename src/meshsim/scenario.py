@@ -11,6 +11,13 @@ One key per line, value tokens separated by whitespace.  Absent keys take
 the defaults below.  ``--set key=value`` assignments replace the file's
 value for that key before validation.
 
+``pattern`` is ``one-to-many`` (a controller to its slaves) or
+``many-to-many``, written ``many-to-many(N)`` for N senders.  ``mode`` is
+``unicast`` (one send per destination, acknowledged and retried) or
+``group`` (one send per iteration to a group address on a fixed event
+budget, never retried; each receiver still acknowledges it), and
+many-to-many is unicast only.  Each value has this one spelling.
+
 The key table, ``_KEYS``, is derived from the ``ScenarioConfig`` fields at
 import, so a new knob is one field line.
 
@@ -44,8 +51,14 @@ PAIR_DRAW_ATTEMPTS = 200
 MAX_SCHEDULED_SENDS = 100_000
 MAX_NOISE_BURSTS = 1_000_000
 
-PATTERNS = ("one-to-many", "many-to-one", "many-to-many")
-MODES = ("unicast-acked", "group-acked-fixed")
+# the scanner's idle time per interval when scan_window_ms is not given
+SCAN_TURNAROUND_MS = 30.0
+# document bounds from the Mesh Profile; stack.py takes them from here
+MAX_TTL = 127
+TRANSPORT_MAX_OCTETS = 380
+
+PATTERNS = ("one-to-many", "many-to-many")
+MODES = ("unicast", "group")
 _MM_SUGAR = re.compile(r"^many-to-many\((\d+)\)$")
 
 
@@ -65,8 +78,7 @@ def s_to_us(s: float) -> int:
 class ScenarioConfig:
     pattern: str = "many-to-many"
     senders: int = 3
-    mode: str = field(default="unicast-acked", metadata={
-        "aliases": {"unicast": "unicast-acked", "group": "group-acked-fixed"}})
+    mode: str = "unicast"
     message_size_octets: int = 11
     iterations: int = 100
     period_ms: float = 1000.0
@@ -77,7 +89,6 @@ class ScenarioConfig:
     adv_delay_max_ms: float = 10.0
     scan_interval_ms: float = 2000.0
     scan_window_ms: float | None = None
-    scan_turnaround_ms: float = 30.0
     tx_power_dbm: float = 0.0
     n_adv_events_source: int = 3
     n_adv_events_relay: int = 2
@@ -105,7 +116,7 @@ class ScenarioConfig:
         """Explicit window, or the interval minus the scanner turnaround."""
         if self.scan_window_ms is not None:
             return self.scan_window_ms
-        return self.scan_interval_ms - self.scan_turnaround_ms
+        return self.scan_interval_ms - SCAN_TURNAROUND_MS
 
     def problems(self) -> list[str]:
         out: list[str] = []
@@ -121,28 +132,29 @@ class ScenarioConfig:
         check(self.pattern in PATTERNS,
               f"pattern: unknown pattern {self.pattern!r}")
         check(self.mode in MODES, f"mode: unknown mode {self.mode!r}")
-        check(0 <= self.message_size_octets <= 380,
-              f"message_size_octets: {self.message_size_octets} outside 0..380")
+        check(0 <= self.message_size_octets <= TRANSPORT_MAX_OCTETS,
+              f"message_size_octets: {self.message_size_octets} outside "
+              f"0..{TRANSPORT_MAX_OCTETS}")
         check(self.iterations >= 1, "iterations: must be >= 1")
         check(self.period_ms > 0, "period_ms: must be > 0")
         check(self.jitter_ms >= 0, "jitter_ms: must be >= 0")
         check(self.adv_interval_ms > 0, "adv_interval_ms: must be > 0")
         check(self.adv_delay_max_ms >= 0, "adv_delay_max_ms: must be >= 0")
         check(self.scan_interval_ms > 0, "scan_interval_ms: must be > 0")
-        check(self.scan_turnaround_ms >= 0, "scan_turnaround_ms: must be >= 0")
         if self.scan_window_ms is not None:
             check(0 < self.scan_window_ms <= self.scan_interval_ms,
                   "scan_window_ms: must be in (0, scan_interval_ms]")
         else:
-            check(self.scan_interval_ms > self.scan_turnaround_ms,
-                  "scan_turnaround_ms: leaves no scan window "
-                  "(set scan_window_ms explicitly or shrink the turnaround)")
+            check(self.scan_interval_ms > SCAN_TURNAROUND_MS,
+                  f"scan_interval_ms: the {SCAN_TURNAROUND_MS:g} ms scanner "
+                  "turnaround leaves no scan window (set scan_window_ms)")
         check(self.n_adv_events_source >= 1, "n_adv_events_source: must be >= 1")
         check(self.n_adv_events_relay >= 1, "n_adv_events_relay: must be >= 1")
         check(self.relay_buffer_cap >= 1, "relay_buffer_cap: must be >= 1")
         check(self.retry_interval_ms > 0, "retry_interval_ms: must be > 0")
         check(self.retry_cap >= 0, "retry_cap: must be >= 0")
-        check(1 <= self.default_ttl <= 127, "default_ttl: outside 1..127")
+        check(1 <= self.default_ttl <= MAX_TTL,
+              f"default_ttl: outside 1..{MAX_TTL}")
         check(0 < self.relay_fraction <= 1.0,
               "relay_fraction: must be in (0, 1]")
         check(self.guard_s > 0, "guard_s: must be > 0")
@@ -166,7 +178,7 @@ class ScenarioConfig:
             check(not 0 < value < math.inf or to_us(value) >= 1,
                   f"{name}: {value} rounds to less than 1 µs")
 
-        if self.pattern in ("one-to-many", "many-to-one"):
+        if self.pattern == "one-to-many":
             check(self.controller is not None,
                   f"controller: required for pattern {self.pattern}")
             check(len(self.slaves) >= 1,
@@ -176,14 +188,13 @@ class ScenarioConfig:
             if self.controller is not None:
                 check(self.controller not in self.slaves,
                       "slaves: controller listed as its own slave")
-            per_iteration = 1 if self.mode == "group-acked-fixed" \
-                else len(self.slaves)
+            per_iteration = 1 if self.mode == "group" else len(self.slaves)
         else:
             check(self.senders >= 1, "senders: must be >= 1")
             check(self.controller is None and not self.slaves,
-                  "controller/slaves: only apply to one-to-many/many-to-one")
-            check(self.mode == "unicast-acked",
-                  "mode: many-to-many supports unicast-acked only")
+                  "controller/slaves: only apply to one-to-many")
+            check(self.mode == "unicast",
+                  "mode: many-to-many supports unicast only")
             per_iteration = self.senders
         check(self.iterations * per_iteration <= MAX_SCHEDULED_SENDS,
               f"iterations: schedules more than {MAX_SCHEDULED_SENDS} sends")
@@ -238,12 +249,11 @@ _PARSERS = {"bool": _parse_bool, "int": _parse_int, "float": _parse_float,
             "float | None": _parse_float, "str": str, "str | None": str,
             "tuple[str, ...]": str}
 
-# file key -> (attr, parser, takes every token, value aliases), one per
-# ScenarioConfig field; a field type without a parser fails here, at import
+# file key -> (attr, parser, takes every token), one per ScenarioConfig
+# field; a field type without a parser fails here, at import
 _KEYS = {
     f.metadata.get("key", f.name):
-        (f.name, _PARSERS[f.type], f.type.startswith("tuple["),
-         f.metadata.get("aliases", {}))
+        (f.name, _PARSERS[f.type], f.type.startswith("tuple["))
     for f in dataclasses.fields(ScenarioConfig)}
 
 
@@ -283,12 +293,12 @@ def scenario_from_raw(raw: _RawMap) -> ScenarioConfig:
         if spec is None:
             errors.append(f"{where}: unknown key {key!r}")
             continue
-        attr, parse, many, aliases = spec
+        attr, parse, many = spec
         if not many and len(tokens) != 1:
             errors.append(f"{where}: {key} takes one value")
             continue
         try:
-            values = tuple(parse(aliases.get(t, t)) for t in tokens)
+            values = tuple(map(parse, tokens))
             kwargs[attr] = values if many else values[0]
         except ValueError as exc:
             errors.append(f"{where}: {key}: {exc}")
@@ -318,7 +328,7 @@ def load_scenario(text: str, overrides=()) -> ScenarioConfig:
 def scenario_to_document(cfg: ScenarioConfig) -> str:
     """Render a document that loads back to an equal config."""
     lines = [SCENARIO_HEADER]
-    for key, (attr, _parse, _many, _aliases) in _KEYS.items():
+    for key, (attr, _parse, _many) in _KEYS.items():
         value = getattr(cfg, attr)
         if value is None or value == ():
             continue
@@ -395,15 +405,14 @@ def build_traffic(topology: Topology, cfg: ScenarioConfig,
     starts = map(add, range(0, cfg.iterations * period_us, period_us),
                  offsets)
 
-    if cfg.pattern in ("one-to-many", "many-to-one"):
+    if cfg.pattern == "one-to-many":
         missing = [n for n in (cfg.controller, *cfg.slaves)
                    if n not in topology.nodes]
         if missing:
             raise ConfigError(
                 "scenario names nodes missing from the topology: "
                 + ", ".join(repr(m) for m in missing))
-        routes = ((cfg.controller, None, GROUP_ADDRESS),) \
-            if cfg.mode == "group-acked-fixed" \
+        routes = ((cfg.controller, None, GROUP_ADDRESS),) if cfg.mode == "group" \
             else tuple((cfg.controller, s, None) for s in cfg.slaves)
         # every iteration sends the same routes, so sorting the starts
         # alone orders the sends

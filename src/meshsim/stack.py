@@ -47,13 +47,12 @@ from functools import partial
 from .engine import Engine, RandomSource
 from .errors import ConfigError
 from .radio import ADV, AUX, EXT_IND, PHY_1M, PHY_2M, ChannelFrame, Medium, airtime_us
-from .scenario import ScenarioConfig, ms_to_us, s_to_us
+from .scenario import MAX_TTL, TRANSPORT_MAX_OCTETS, ScenarioConfig, ms_to_us, s_to_us
 
 log = logging.getLogger(__name__)
 
 UNSEGMENTED_MAX_OCTETS = 11
 SEGMENT_CAPACITY_OCTETS = 12
-TRANSPORT_MAX_OCTETS = 380
 EXT_UNSEGMENTED_MAX_OCTETS = 100   # aux frames carry larger PDUs unsegmented
 EXT_SEGMENT_CAPACITY_OCTETS = 96
 CACHE_CAPACITY = 128
@@ -61,7 +60,6 @@ CACHE_CAPACITY = 128
 # segments; the bundled segmented runs (100 iterations, seed 1) finish at
 # most 22 per node
 RX_DONE_CAPACITY = 1024
-MAX_TTL = 127
 MAX_SEQ = 1 << 24
 GROUP_ADV_EVENTS = 2               # fixed per-message budget in group mode
 INTER_CHANNEL_GAP_US = 400
@@ -238,7 +236,7 @@ class _Publication:
 
 class _TxAttempt:
     __slots__ = ("chunks", "dst", "acked", "rounds", "timer", "app_msg_id",
-                 "done", "outstanding")
+                 "outstanding")
 
     def __init__(self, chunks, dst, app_msg_id):
         self.chunks = chunks
@@ -247,7 +245,6 @@ class _TxAttempt:
         self.rounds = 0
         self.timer = None
         self.app_msg_id = app_msg_id
-        self.done = False
         self.outstanding = 0   # segment jobs of the current round still queued
 
 
@@ -355,7 +352,6 @@ class Node:
             pub.outstanding += 1
             self._enqueue(self._make_pdu(pub.dst, pub.payload, pub.app_msg_id),
                           events, pub.copy_aired)
-            pub.active_tag = None
             return
         chunks = segment_payload(pub.payload, extended=self.cfg.extended)
         tag = self._tag
@@ -397,7 +393,7 @@ class Node:
                                      app_msg_id, kind="app_ack")
                 self._enqueue(ack, self.cfg.n_adv_events_source)
         elif kind == "app_ack":
-            self.collector.on_ack(app_msg_id, src, self.engine.now)
+            self.collector.on_ack(app_msg_id, self.directory[src], self.engine.now)
             pub = self._pubs.pop(app_msg_id, None)
             if pub is not None:
                 Engine.cancel(pub.retry_timer)
@@ -502,7 +498,6 @@ class Node:
             return
         attempt.acked |= received
         if len(attempt.acked) == len(attempt.chunks):
-            attempt.done = True
             del self._tx_attempts[tag]
             if attempt.timer is not None:
                 Engine.cancel(attempt.timer)
@@ -517,7 +512,6 @@ class Node:
             Engine.cancel(attempt.timer)
             attempt.timer = None
         if attempt.rounds >= TRANSPORT_RETRY_ROUNDS:
-            attempt.done = True
             del self._tx_attempts[tag]
             log.debug("%s: transport attempt %d abandoned", self.node_id, tag)
             return
@@ -549,7 +543,9 @@ class Node:
                           events, on_done)
 
     def _segment_aired(self, tag, attempt: _TxAttempt) -> None:
-        if attempt.done:
+        # an attempt leaves _tx_attempts when it ends, and tags are never
+        # reused
+        if tag not in self._tx_attempts:
             return
         attempt.outstanding -= 1
         if attempt.outstanding == 0:

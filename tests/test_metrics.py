@@ -21,7 +21,6 @@ from meshsim.metrics import (
     compare,
     nearest_rank_p90,
     per_seed_means,
-    read_messages_csv,
     stats_as_dict,
     write_cdf_csv,
     write_messages_csv,
@@ -36,11 +35,11 @@ def rec(msg_id, dst="b", send=0, delivery=None, ack=None, retx=0, frames=0,
 
 
 def test_collector_records_and_statuses():
-    c = Collector(addr_to_node={2: "b"})
+    c = Collector()
     c.on_send(1, "a", ("b",), 0)
     c.on_delivery(1, "b", 5_000)
     c.on_delivery(1, "b", 9_999)          # duplicate delivery keeps the first
-    c.on_ack(1, 2, 9_000)
+    c.on_ack(1, "b", 9_000)
     c.on_send(2, "a", ("b",), 1_000)
     c.on_send(3, "a", ("b",), 2_000)
     c.on_delivery(3, "b", 30_000)
@@ -108,30 +107,11 @@ def test_messages_csv_roundtrip(tmp_path):
     ]
     path = tmp_path / "messages.csv"
     write_messages_csv(records, path)
-    text = path.read_text().splitlines()
-    assert text[0].startswith("app_msg_id,source,destination,status")
-    assert "5.000" in text[1] and "9.000" in text[1]
-    assert read_messages_csv(path) == records
-
-    header = ",".join(CSV_COLUMNS)
-    for body, match in (
-            ("nope,nope\n1,2\n", "header"),
-            (f"{header}\nx,a,b,lost,0,,,,,0,3\n", "line 2"),
-            (f"{header}\n{text[1]}\n1,a,b,lost,0\n", "line 3"),
-            # rows that parse but that no run writes
-            (f"{header}\n1,a,b,bogus,0,,,,,0,3\n", "line 2: unknown status 'bogus'"),
-            (f"{header}\n1,a,b,lost,0,,,,,0,3,extra\n", "line 2: 1 cell"),
-            (f"{header}\n{text[1]}\n1,a,b,delivered,-5,-9,,,,0,3\n",
-             "line 3: delivery at -9 µs before send"),
-            (f"{header}\n1,a,b,delivered,10,20,5,,,0,3\n", "line 2: ack at 5 µs before send"),
-            (f"{header}\n1,a,b,lost,0,,,,,-1,3\n", "line 2: negative"),
-            (f"{header}\n1,a,b,lost,0,,,,,0,-3\n", "line 2: negative"),
-            (f"{header}\n1,a,b,delivered,0,,,,,0,3\n", "line 2: status delivered without"),
-            (f"{header}\n1,a,b,lost,0,7,,,,0,3\n", "line 2: status lost with")):
-        bad = tmp_path / "bad.csv"
-        bad.write_text(body)
-        with pytest.raises(ConfigError, match=match):
-            read_messages_csv(bad)
+    assert path.read_text().splitlines() == [
+        ",".join(CSV_COLUMNS),
+        "1,a,b,delivered,0,5000,9000,5.000,9.000,2,30",
+        "2,a,b,lost,1000,,,,,0,0",
+    ]
 
 
 def test_summary_json_stable_bytes(tmp_path):

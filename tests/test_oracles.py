@@ -42,6 +42,28 @@ def test_first_event_latency(k, latency_us):
     assert rec.delivery_time_us - rec.send_time_us == latency_us
 
 
+@pytest.mark.parametrize("c", [0, 1, 2])
+@pytest.mark.parametrize("relays", [1, 3])
+def test_line_of_relays_latency(relays, c):
+    # a line s, r1..rk, d: 60 dB between neighbours, 200 dB elsewhere, no
+    # shadowing.  Published at the start of scan interval c, every node
+    # hears only frame c of its upstream neighbour's first event, which
+    # ends airtime + c * (airtime + gap) after that event starts, and a
+    # relay starts its own first event the moment it hears one, so each
+    # hop adds that much
+    names = [f"n{i}" for i in range(relays + 2)]
+    losses = {(a, b): 60.0 if j - i == 1 else 200.0
+              for i, a in enumerate(names) for j, b in enumerate(names) if i < j}
+    airtime = airtime_us(11, PHY_1M)
+    w = World(names, losses, sigma=0.0, cfg=quiet_params())
+    w.publish_at(c * SCAN_US, names[0], w.addr[names[-1]], bytes(11), 1)
+    w.engine.run_until_idle()
+    (rec,) = w.records(1)
+    assert rec.status == DELIVERED
+    assert rec.delivery_time_us - rec.send_time_us == \
+        (relays + 1) * (airtime + c * (airtime + INTER_CHANNEL_GAP_US))
+
+
 @pytest.mark.parametrize("noise_dbm", [-100.0, -78.0])
 def test_capture_against_noise_of_known_power(noise_dbm):
     # noise is heard at its own power, with no path loss and no shadow
@@ -88,7 +110,7 @@ def test_group_link_delivery(margin_db):
     sigma, seeds, iterations = 4.0, (1, 2), 800
     loss = 0.0 - PHY_1M.sensitivity_dbm - margin_db
     topology = load_topology(f"meshsim-topology v1\nnode a\nnode b\nloss a b {loss}\n")
-    cfg = ScenarioConfig(pattern="one-to-many", mode="group-acked-fixed",
+    cfg = ScenarioConfig(pattern="one-to-many", mode="group",
                          controller="a", slaves=("b",), iterations=iterations)
     records = [r for seed in seeds for r in run_experiment(topology, cfg, seed).records]
     n = len(seeds) * iterations

@@ -57,6 +57,12 @@ def make_medium(losses, sigma=0.0, capture=10.0, scan_interval=CONTINUOUS, scan_
     return eng, med, delivered
 
 
+def test_duplicate_registration_rejected():
+    _eng, med, _delivered = make_medium({("a", "b"): 60.0})
+    with pytest.raises(ConfigError, match="duplicate radio registration for 'a'"):
+        med.register("a", RandomSource(1).stream("chan:a"), lambda frame, rssi: None)
+
+
 def test_airtime_examples():
     assert airtime_us(39, PHY_1M) == 392
     assert airtime_us(39, PHY_2M) == 200

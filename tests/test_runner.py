@@ -1,5 +1,6 @@
 """Experiment orchestration: multi-seed fan-out, arm comparison, the event cap."""
 
+import concurrent.futures
 import hashlib
 import math
 import os
@@ -90,6 +91,28 @@ def test_compare_runs_rejects_arms_with_different_workloads():
     assert compare_runs(short, short).n_seeds == (5, 5)
     with pytest.raises(ConfigError, match="not comparable"):
         compare_runs(short, longer)
+    with pytest.raises(ConfigError, match="within one arm use different workloads"):
+        compare_runs(short, {**short, 6: longer[1]})
+    for baseline, variant in ((short, {}), ({}, short)):
+        with pytest.raises(ConfigError, match="runs in both arms"):
+            compare_runs(baseline, variant)
+
+
+def test_run_many_checks_seeds_and_runs_one_seed_in_process(monkeypatch):
+    topo = load_bundled_topology("office_single_floor_8.topo")
+    cfg = bundled("single_hop_group.scn", "iterations=1")
+    with pytest.raises(ConfigError, match="no seeds given"):
+        run_many(topo, cfg, [])
+    with pytest.raises(ConfigError, match="duplicate seeds"):
+        run_many(topo, cfg, [3, 4, 3])
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("one seed started a process pool")
+
+    # the default jobs for one seed is one: no pool is started
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool,
+                        raising=False)
+    assert run_many(topo, cfg, [4]) == {4: run_experiment(topo, cfg, 4)}
 
 
 def test_more_nodes_than_unicast_addresses_rejected_before_set_up():

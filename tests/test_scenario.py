@@ -51,7 +51,7 @@ def line_topology(n: int, spacing_m: float = 3.0):
 def test_defaults_match_reference_table():
     cfg = scn()
     assert cfg.pattern == "many-to-many" and cfg.senders == 3
-    assert cfg.mode == "unicast-acked"
+    assert cfg.mode == "unicast"
     assert cfg.message_size_octets == 11
     assert cfg.iterations == 100 and cfg.period_ms == 1000.0
     assert cfg.adv_interval_ms == 20.0 and cfg.adv_delay_max_ms == 10.0
@@ -77,9 +77,14 @@ def test_pattern_sugar_conflicts_with_senders_key():
 
 
 def test_mode_aliases():
-    assert scn("mode unicast").mode == "unicast-acked"
+    # each mode has one spelling: the long names are not aliases
+    assert scn("mode unicast").mode == "unicast"
     assert scn("pattern one-to-many", "mode group", "controller c",
-               "slaves s1 s2").mode == "group-acked-fixed"
+               "slaves s1 s2").mode == "group"
+    for long_name in ("unicast-acked", "group-acked-fixed"):
+        with pytest.raises(ConfigError, match=f"unknown mode '{long_name}'"):
+            scn("pattern one-to-many", f"mode {long_name}", "controller c",
+                "slaves s1 s2")
 
 
 def test_unknown_key_rejected_with_line():
@@ -212,7 +217,8 @@ def test_explicit_scan_window_honored():
 
 
 def test_turnaround_swallowing_whole_interval_rejected():
-    with pytest.raises(ConfigError, match="scan_turnaround_ms"):
+    with pytest.raises(ConfigError,
+                       match="scan_interval_ms: the 30 ms scanner turnaround"):
         scn("scan_interval_ms 25")
 
 
@@ -234,7 +240,7 @@ def test_controller_rejected_for_many_to_many():
 
 
 def test_group_mode_rejected_for_many_to_many():
-    with pytest.raises(ConfigError, match="unicast-acked only"):
+    with pytest.raises(ConfigError, match="unicast only"):
         scn("mode group")
 
 
@@ -258,7 +264,7 @@ def test_override_unknown_key_names_override():
 
 @pytest.mark.parametrize("cfg", [
     ScenarioConfig(),
-    ScenarioConfig(pattern="one-to-many", mode="group-acked-fixed",
+    ScenarioConfig(pattern="one-to-many", mode="group",
                    controller="n01", slaves=("n05", "n08")),
     ScenarioConfig(senders=7, adv_interval_ms=10.0, scan_interval_ms=1000.0,
                    extended=True, power_control=True,
@@ -266,11 +272,11 @@ def test_override_unknown_key_names_override():
     # every field off its default, so a field whose type or metadata the
     # derived key table misreads fails to round-trip
     ScenarioConfig(
-        pattern="many-to-one", senders=5, mode="group-acked-fixed",
+        pattern="one-to-many", senders=5, mode="group",
         message_size_octets=19, iterations=7, period_ms=500.0, jitter_ms=2.5,
         controller="n01", slaves=("n05", "n08"), adv_interval_ms=30.0,
         adv_delay_max_ms=5.0, scan_interval_ms=100.0, scan_window_ms=30.0,
-        scan_turnaround_ms=10.0, tx_power_dbm=-4.0, n_adv_events_source=4,
+        tx_power_dbm=-4.0, n_adv_events_source=4,
         n_adv_events_relay=3, relay_buffer_cap=2, retry_interval_ms=150.0,
         retry_cap=3, default_ttl=5, relay_fraction=0.5, extended=True,
         guard_s=30.0, power_control=True, power_control_zeta_th_dbm=-80.0,
@@ -327,21 +333,19 @@ def test_one_to_many_fourteen_slaves():
 
 def test_group_schedule_one_send_per_iteration():
     t = line_topology(4)
-    cfg = ScenarioConfig(pattern="one-to-many", mode="group-acked-fixed",
+    cfg = ScenarioConfig(pattern="one-to-many", mode="group",
                          controller="x00", slaves=("x01", "x02"), iterations=3)
     sends = build_traffic(t, cfg, RandomSource(1).stream("traffic"))
     assert len(sends) == 3
     assert all(s.group == GROUP_ADDRESS and s.dst_node is None for s in sends)
 
 
-def test_many_to_one_is_alias_of_one_to_many():
-    t = line_topology(4)
-    kw = dict(controller="x00", slaves=("x01", "x02"), iterations=5)
-    a = build_traffic(t, ScenarioConfig(pattern="one-to-many", **kw),
-                      RandomSource(3).stream("traffic"))
-    b = build_traffic(t, ScenarioConfig(pattern="many-to-one", **kw),
-                      RandomSource(3).stream("traffic"))
-    assert a == b
+def test_many_to_one_rejected():
+    # many-to-one traffic is not modelled; the name is not an alias
+    with pytest.raises(ConfigError, match="unknown pattern 'many-to-one'"):
+        scn("pattern many-to-one", "controller c", "slaves s1 s2")
+    with pytest.raises(ConfigError, match="unknown pattern 'many-to-one'"):
+        ScenarioConfig(pattern="many-to-one", controller="c", slaves=("s1",))
 
 
 def test_scheduled_nodes_must_exist():
@@ -395,7 +399,7 @@ def test_schedule_is_deterministic_per_seed():
 
 def test_sends_are_plain_tuples():
     t = line_topology(4)
-    cfg = ScenarioConfig(pattern="one-to-many", mode="group-acked-fixed",
+    cfg = ScenarioConfig(pattern="one-to-many", mode="group",
                          controller="x00", slaves=("x01",), iterations=2)
     sends = build_traffic(t, cfg, RandomSource(1).stream("traffic"))
     assert sends == ((1, 0, "x00", None, GROUP_ADDRESS),

@@ -70,7 +70,7 @@ class World:
                              shadowing_sigma_db=sigma)
         self.addr = {n: i + 1 for i, n in enumerate(names)}
         directory = {v: n for n, v in self.addr.items()}
-        self.collector = Collector(addr_to_node=directory)
+        self.collector = Collector()
         self.nodes = {}
         max_power = -1000.0
         for n in names:
@@ -190,6 +190,17 @@ def test_pdu_octets_match_property_formula(ttl, fill):
             assert pdu.octets == property_octets(pdu)
             copy = pdu.relayed_copy()
             assert copy.octets == pdu.octets == property_octets(copy)
+
+
+@pytest.mark.parametrize("ttl, seq, problem", [
+    (-1, 0, "ttl -1 outside 0..127"),
+    (MAX_TTL + 1, 0, "ttl 128 outside 0..127"),
+    (7, -1, "sequence number -1 outside"),
+    (7, 1 << 24, "sequence number 16777216 outside"),
+])
+def test_pdu_ttl_and_seq_out_of_range_rejected(ttl, seq, problem):
+    with pytest.raises(ConfigError, match=problem):
+        MeshPdu(1, 2, seq, ttl, b"x", 5)
 
 
 def pdu_slots(pdu):

@@ -118,6 +118,10 @@ def test_all_problems_reported_at_once():
         "node b 0 zz 0",         # bad coordinate
         "loss a c 60",           # unknown node
         "loss a a 10",           # self loss
+        "floor-attenuation-db ten",  # bad attenuation
+        "floor-attenuation-db 12",
+        "floor-attenuation-db 14",   # duplicate attenuation
+        "loss a b far",          # bad loss value
     ])
     with pytest.raises(ConfigError) as exc:
         load_topology(doc)
@@ -127,6 +131,10 @@ def test_all_problems_reported_at_once():
     assert "line 5: bad coordinates for node 'b'" in msg
     assert "line 6: loss references unknown node 'c'" in msg
     assert "line 7: loss of node 'a' to itself" in msg
+    assert "line 8: bad attenuation 'ten'" in msg
+    assert "line 9:" not in msg
+    assert "line 10: duplicate floor-attenuation-db" in msg
+    assert "line 11: bad loss value 'far'" in msg
 
 
 @pytest.mark.parametrize("line", [
@@ -156,6 +164,17 @@ def test_placement_beyond_bounds_rejected_naming_node(line, problem):
     # at such sizes a pair's loss overflows to inf or cannot become a float
     with pytest.raises(ConfigError, match=rf"line 3: {problem}"):
         topo("node a 0 0 0", line, "node c 1 10 0")
+
+
+def test_pair_space_take_out_of_range():
+    space = PairSpace(load_bundled_topology("office_two_floor_20.topo"))
+    for pos in (-1, space.size):
+        with pytest.raises(IndexError, match=f"pair {pos} of {space.size} free"):
+            space.take(pos)
+    space.take(0)
+    with pytest.raises(IndexError):
+        space.take(space.free)
+    assert space.take(space.free - 1)
 
 
 def test_placement_at_bounds_gives_finite_losses():
